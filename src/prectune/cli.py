@@ -43,7 +43,7 @@ from .learn import (
     train_classifier,
     train_regressor,
 )
-from .solve import brute_force_optimum, fptuning_baseline, smart_tune, smart_tune_plus
+from .solve import brute_force_optimum, fit_models, fptuning_baseline, smart_tune, smart_tune_plus
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 1
@@ -381,7 +381,7 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _run_method(cfg: RunConfig, bench, input_set, target, dataset):
+def _run_method(cfg: RunConfig, bench, input_set, target, dataset, models):
     if cfg.mode == "baseline":
         return fptuning_baseline(bench, input_set, target, cfg.nbit_min, cfg.nbit_max)
     runner = smart_tune if cfg.mode == "smart" else smart_tune_plus
@@ -396,6 +396,7 @@ def _run_method(cfg: RunConfig, bench, input_set, target, dataset):
         dataset_size=cfg.dataset_size,
         seed_sample=cfg.seed_sample,
         train_cfg=cfg.train_config(),
+        models=models,
     )
 
 
@@ -406,15 +407,18 @@ def cmd_tune(args) -> int:
     input_set = gen_input_set(bench, cfg.shape or None, cfg.seed_input)
 
     dataset = None
+    models = None
     dataset_runs = 0
     if cfg.mode != "baseline":
         dataset = _load_or_build_dataset(cfg, bench, args.dataset, input_set=input_set)
         dataset_runs = 0 if args.dataset else len(dataset.samples)
+        # every target starts from the same fit on the same dataset
+        models = fit_models(dataset, cfg.train_config())
 
     rows = []
     all_feasible = True
     for target in cfg.targets:
-        result = _run_method(cfg, bench, input_set, target, dataset)
+        result = _run_method(cfg, bench, input_set, target, dataset, models)
         sol = result.solution
         feasible = bool(result.feasible)
         all_feasible = all_feasible and feasible
@@ -534,6 +538,7 @@ def cmd_transfer(args) -> int:
             seed_sample=cfg.seed_sample,
             input_set=first,
         )
+        models = fit_models(dataset, cfg.train_config())
 
         def violation_pct(result, target) -> float:
             # no config found means the target is violated everywhere
@@ -557,6 +562,7 @@ def cmd_transfer(args) -> int:
                 nbit_max=cfg.nbit_max,
                 dataset=dataset,
                 train_cfg=cfg.train_config(),
+                models=models,
             )
             base = fptuning_baseline(bench, first, target, cfg.nbit_min, cfg.nbit_max)
             pct_smart = violation_pct(smart, target)

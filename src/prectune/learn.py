@@ -100,17 +100,14 @@ def _forward_cache(weights, biases, x):
     return acts, pre
 
 
-def _loss_and_grads(weights, biases, x, y):
-    """Mean squared error and its gradients for one batch.
+def _grads(weights, biases, x, y):
+    """Residuals and mean-squared-error gradients for one batch.
 
     x: (B, n) normalized inputs, y: (B,) targets.
     """
     acts, pre = _forward_cache(weights, biases, x)
-    out = acts[-1][:, 0]
-    diff = out - y
-    n = x.shape[0]
-    loss = float(np.mean(diff**2))
-    delta = (2.0 * diff / n)[:, None]
+    diff = acts[-1][:, 0] - y
+    delta = (2.0 * diff / x.shape[0])[:, None]
     g_w = [None] * len(weights)
     g_b = [None] * len(weights)
     for l in reversed(range(len(weights))):
@@ -118,7 +115,13 @@ def _loss_and_grads(weights, biases, x, y):
         g_b[l] = delta.sum(axis=0)
         if l > 0:
             delta = (delta @ weights[l].T) * (pre[l - 1] > 0.0)
-    return loss, g_w, g_b
+    return diff, g_w, g_b
+
+
+def _loss_and_grads(weights, biases, x, y):
+    """Mean squared error and its gradients for one batch."""
+    diff, g_w, g_b = _grads(weights, biases, x, y)
+    return float(np.mean(diff**2)), g_w, g_b
 
 
 class _Adam:
@@ -153,17 +156,28 @@ def train_regressor(ds: Dataset, cfg: TrainConfig = TrainConfig()) -> MLPModel:
     sigma = max(float(np.std(y_raw)), 1e-12)
     y = (y_raw - mu) / sigma
 
+    # Every weight and bias is a view into one flat buffer, so a single
+    # elementwise Adam update over the concatenated gradients moves them
+    # all; elementwise, that is the same arithmetic as one update per array.
+    params = model.weights + model.biases
+    flat = np.concatenate([p.ravel() for p in params])
+    ends = np.cumsum([p.size for p in params])[:-1]
+    views = [v.reshape(p.shape) for v, p in zip(np.split(flat, ends), params)]
+    weights, biases = views[: len(model.weights)], views[len(model.weights) :]
+
     rng = np.random.default_rng(cfg.seed + 1)
-    shapes = [w.shape for w in model.weights] + [b.shape for b in model.biases]
-    opt = _Adam(shapes, cfg)
+    opt = _Adam([flat.shape], cfg)
     n = x.shape[0]
     for _ in range(cfg.epochs):
         order = rng.permutation(n)
         for start in range(0, n, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
-            _, g_w, g_b = _loss_and_grads(model.weights, model.biases, x[idx], y[idx])
-            opt.step(model.weights + model.biases, g_w + g_b)
+            _, g_w, g_b = _grads(weights, biases, x[idx], y[idx])
+            opt.step([flat], [np.concatenate([g.ravel() for g in g_w + g_b])])
 
+    # the returned model owns its arrays rather than views of the buffer
+    model.weights = [w.copy() for w in weights]
+    model.biases = [b.copy() for b in biases]
     # fold the target standardization into the linear output layer
     model.weights[-1] *= sigma
     model.biases[-1] = model.biases[-1] * sigma + mu

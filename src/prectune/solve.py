@@ -535,6 +535,11 @@ def solve_mp(problem: TuningProblem) -> Solution | None:
 # --- verify-retrain loop --------------------------------------------------------
 
 
+def fit_models(dataset: Dataset, train_cfg: TrainConfig) -> tuple[MLPModel, DTModel]:
+    """The regressor and classifier fitted on the whole dataset."""
+    return train_regressor(dataset, train_cfg), train_classifier(dataset, train_cfg)
+
+
 def smart_tune(
     benchmark: str,
     input_set: InputSet,
@@ -546,15 +551,23 @@ def smart_tune(
     dataset_size: int = 1000,
     seed_sample: int = 0,
     train_cfg: TrainConfig = TrainConfig(),
+    models: tuple[MLPModel, DTModel] | None = None,
+    ref: np.ndarray | None = None,
 ) -> TunedResult:
     """Propose-verify-retrain until a config really meets the target.
 
     kernel_runs counts executions made by this call, including dataset
     construction when no dataset is passed in.  A passed-in dataset is
-    left untouched; misses extend a private copy."""
+    left untouched; misses extend a private copy.  models, when given, is
+    the pair fit_models(dataset, train_cfg) returns, so that several
+    targets on one dataset share one initial fit; ref is the kernel's
+    reference output on input_set, computed here when not given."""
     t0 = time.perf_counter()
     kernel_runs = 0
-    ref = reference_output(benchmark, input_set)
+    if models is not None and dataset is None:
+        raise ValueError("initial models need the dataset they were fitted on")
+    if ref is None:
+        ref = reference_output(benchmark, input_set)
     if dataset is None:
         dataset = build_dataset(
             benchmark,
@@ -567,8 +580,7 @@ def smart_tune(
         kernel_runs += dataset_size
     else:
         dataset = replace(dataset, samples=list(dataset.samples))
-    regressor = train_regressor(dataset, train_cfg)
-    classifier = train_classifier(dataset, train_cfg)
+    regressor, classifier = models if models is not None else fit_models(dataset, train_cfg)
 
     cuts: set[tuple[int, ...]] = set()
     samples_added = 0
@@ -612,8 +624,7 @@ def smart_tune(
         )
         samples_added += 1
         cuts.add(sol.config)
-        regressor = train_regressor(dataset, train_cfg)
-        classifier = train_classifier(dataset, train_cfg)
+        regressor, classifier = fit_models(dataset, train_cfg)
 
     return TunedResult(
         solution=last_sol,
@@ -705,11 +716,11 @@ def smart_tune_plus(
 ) -> TunedResult:
     """smart_tune followed by the verified descent on its result."""
     t0 = time.perf_counter()
-    result = smart_tune(benchmark, input_set, target_error, **kwargs)
+    ref = reference_output(benchmark, input_set)
+    result = smart_tune(benchmark, input_set, target_error, ref=ref, **kwargs)
     if not result.feasible or result.solution is None:
         return result
     nbit_min = kwargs.get("nbit_min", MANTISSA_MIN)
-    ref = reference_output(benchmark, input_set)
     cfg, runs, _ = plus_refine(
         benchmark, input_set, result.solution.config, target_error, nbit_min, ref
     )

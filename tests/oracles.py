@@ -252,3 +252,73 @@ KERNEL_REFS = {
     "bscholes": ref_bscholes,
     "jacobi": ref_jacobi,
 }
+
+
+# --- per-array Adam training -----------------------------------------------------
+# The regressor's training loop as first written: one Adam update per weight
+# and bias array.  The package trains over one flat buffer instead; the
+# arithmetic per element is the same, so the weights must agree bit for bit.
+
+
+def train_mlp_per_array(configs, log_errs, lo, hi, *, learning_rate=0.001, beta1=0.9,
+                        beta2=0.999, adam_eps=1e-8, epochs=100, batch_size=32, seed=0):
+    """Fit layers [n, 2n, 2n, n, 1] with ReLU between to log errors by
+    minibatch Adam on mean squared error; returns (weights, biases) with the
+    target standardization folded into the output layer."""
+    configs = np.asarray(configs, dtype=np.float64)
+    n_in = configs.shape[1]
+    sizes = [n_in, 2 * n_in, 2 * n_in, n_in, 1]
+    rng = np.random.default_rng(seed)
+    weights, biases = [], []
+    for fan_in, fan_out in zip(sizes, sizes[1:]):
+        limit = np.sqrt(6.0 / fan_in)
+        weights.append(rng.uniform(-limit, limit, (fan_in, fan_out)))
+        biases.append(np.zeros(fan_out))
+    last = len(weights) - 1
+
+    x = (configs - float(lo)) / max(float(hi) - float(lo), 1.0)
+    y_raw = np.asarray(log_errs, dtype=np.float64)
+    mu = float(np.mean(y_raw))
+    sigma = max(float(np.std(y_raw)), 1e-12)
+    y = (y_raw - mu) / sigma
+
+    params = weights + biases
+    m = [np.zeros(p.shape) for p in params]
+    v = [np.zeros(p.shape) for p in params]
+    t = 0
+    order_rng = np.random.default_rng(seed + 1)
+    n = x.shape[0]
+    for _ in range(epochs):
+        order = order_rng.permutation(n)
+        for start in range(0, n, batch_size):
+            idx = order[start : start + batch_size]
+            xb, yb = x[idx], y[idx]
+            acts, pre = [xb], []
+            a = xb
+            for l, (w, b) in enumerate(zip(weights, biases)):
+                z = a @ w + b
+                pre.append(z)
+                a = z if l == last else np.maximum(z, 0.0)
+                acts.append(a)
+            diff = acts[-1][:, 0] - yb
+            delta = (2.0 * diff / xb.shape[0])[:, None]
+            g_w = [None] * len(weights)
+            g_b = [None] * len(weights)
+            for l in reversed(range(len(weights))):
+                g_w[l] = acts[l].T @ delta
+                g_b[l] = delta.sum(axis=0)
+                if l > 0:
+                    delta = (delta @ weights[l].T) * (pre[l - 1] > 0.0)
+            t += 1
+            for p, g, mp, vp in zip(params, g_w + g_b, m, v):
+                mp *= beta1
+                mp += (1.0 - beta1) * g
+                vp *= beta2
+                vp += (1.0 - beta2) * g * g
+                m_hat = mp / (1.0 - beta1**t)
+                v_hat = vp / (1.0 - beta2**t)
+                p -= learning_rate * m_hat / (np.sqrt(v_hat) + adam_eps)
+
+    weights[-1] *= sigma
+    biases[-1] = biases[-1] * sigma + mu
+    return weights, biases

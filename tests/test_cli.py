@@ -202,6 +202,21 @@ class TestTuneCommand:
         doc = json.loads((tmp_path / "saxpy_smart_0.1.json").read_text())
         assert doc["dataset_runs"] == 0
 
+    @pytest.mark.parametrize("mode", ["smart", "smart_plus"])
+    def test_targets_share_initial_fit(self, tmp_path, mode):
+        # one invocation fits the initial models once for all its targets;
+        # each record must equal that of a run with its target alone
+        targets = ("1e-1", "1e-3", "1e-5")
+        args = ("tune", "--benchmark", "saxpy", "--mode", mode, *FAST)
+        assert run(*args, "--target", ",".join(targets), "--out", str(tmp_path / "all")) == EXIT_OK
+        for target in targets:
+            assert run(*args, "--target", target, "--out", str(tmp_path / target)) == EXIT_OK
+            name = f"saxpy_{mode}_{target_slug(float(target))}.json"
+            together = json.loads((tmp_path / "all" / name).read_text())
+            alone = json.loads((tmp_path / target / name).read_text())
+            del together["wall_time_s"], alone["wall_time_s"]
+            assert together == alone
+
 
 class TestSweepCommand:
     def test_sweep_csv(self, tmp_path):
@@ -234,6 +249,16 @@ class TestTransferCommand:
         assert bench == "saxpy" and target == "0.1"
         assert 0.0 <= float(pct_s) <= 100.0
         assert 0.0 <= float(pct_b) <= 100.0
+
+    def test_targets_share_initial_fit(self, tmp_path):
+        args = ("transfer", "--benchmark", "saxpy", "--n-inputs", "2", *FAST)
+        assert run(*args, "--target", "1e-1,1e-4", "--out", str(tmp_path / "all")) == EXIT_OK
+        rows = []
+        for target in ("1e-1", "1e-4"):
+            assert run(*args, "--target", target, "--out", str(tmp_path / target)) == EXIT_OK
+            rows += (tmp_path / target / "transfer_violations.csv").read_text().splitlines()[2:]
+        together = (tmp_path / "all" / "transfer_violations.csv").read_text().splitlines()[2:]
+        assert together == rows
 
     def test_n_inputs_floor(self, tmp_path):
         rc = run("transfer", "--benchmark", "saxpy", "--n-inputs", "1",

@@ -6,7 +6,9 @@ import json
 import numpy as np
 import pytest
 
-from prectune.dataset import Dataset, Sample, build_dataset
+from oracles import train_mlp_per_array
+from prectune.dataset import Dataset, Sample, build_dataset, make_sample, reference_output
+from prectune.kernels import gen_input_set
 from prectune.learn import (
     DTModel,
     InsufficientDataError,
@@ -231,6 +233,41 @@ class TestTrainRegressor:
         assert isinstance(single, float)
         assert batch.shape == (2,)
         assert batch[0] == single
+
+
+class TestFlatBufferAdam:
+    """train_regressor updates all parameters as one flat buffer; the oracle
+    does one Adam update per array, as the training loop first did."""
+
+    @staticmethod
+    def assert_matches_oracle(ds, cfg=TrainConfig()):
+        keep = [s for s in ds.samples if s.class_label == 0]
+        weights, biases = train_mlp_per_array(
+            [s.config for s in keep], [s.log_err for s in keep], ds.nbit_lo, ds.nbit_hi,
+            learning_rate=cfg.learning_rate, beta1=cfg.beta1, beta2=cfg.beta2,
+            adam_eps=cfg.adam_eps, epochs=cfg.epochs, batch_size=cfg.batch_size, seed=cfg.seed,
+        )
+        model = train_regressor(ds, cfg)
+        assert len(model.weights) == len(weights) and len(model.biases) == len(biases)
+        for got, want in zip(model.weights + model.biases, weights + biases):
+            assert np.array_equal(got, want)
+            assert got.flags.owndata
+
+    @pytest.mark.parametrize("bench,n_var", [("fwt", 2), ("saxpy", 3), ("dwt", 7)])
+    def test_bit_identical_to_per_array_adam(self, bench, n_var):
+        ds = build_dataset(bench, n_samples=150, seed_sample=1)
+        assert ds.n_var == n_var
+        self.assert_matches_oracle(ds)
+
+    def test_bit_identical_with_appended_misses(self):
+        # the verify-retrain loop appends each verified miss to the dataset
+        inp = gen_input_set("fwt", None, 3)
+        ds = build_dataset("fwt", n_samples=120, input_set=inp, seed_sample=2)
+        ref = reference_output("fwt", inp)
+        for cfg in [(5, 5), (9, 12), (30, 30), (1, 1), (52, 52)]:
+            ds.samples.append(make_sample("fwt", inp, cfg, ref))
+        self.assert_matches_oracle(ds)
+        self.assert_matches_oracle(ds, TrainConfig(learning_rate=0.01, epochs=20, batch_size=7, seed=3))
 
 
 class TestTrainClassifier:

@@ -396,6 +396,34 @@ class TestSmartTune:
         assert a.samples_added == b.samples_added
         assert a.kernel_runs == b.kernel_runs
 
+    def test_initial_models_need_their_dataset(self, saxpy_input, saxpy_models):
+        with pytest.raises(ValueError):
+            smart_tune("saxpy", saxpy_input, 1e-4, dataset_size=20, models=saxpy_models)
+
+
+class TestModelInfeasibleAtRoundOne:
+    """fwt at 1e-12 on input seed 22: the models promise no config at round
+    1, so smart_tune gives up without a verify run, although the all-52
+    config meets the target."""
+
+    TARGET = 1e-12
+
+    @pytest.fixture(scope="class")
+    def fwt_input(self):
+        return gen_input_set("fwt", None, 22)
+
+    def test_all_max_meets_target(self, fwt_input):
+        out = run_kernel("fwt", fwt_input, (52, 52))
+        assert compute_error(out, reference_output("fwt", fwt_input)) <= self.TARGET
+
+    @pytest.mark.xfail(strict=True, reason="smart_tune reports model_infeasible with no verify run")
+    def test_smart_tune_finds_a_config(self, fwt_input):
+        ds = build_dataset("fwt", n_samples=1000, input_set=fwt_input, seed_sample=0)
+        res = smart_tune("fwt", fwt_input, self.TARGET, budget=100, dataset=ds,
+                         train_cfg=TrainConfig(seed=0))
+        assert res.kernel_runs > 0
+        assert res.feasible and res.actual_error <= self.TARGET
+
 
 class TestPlusRefine:
     @pytest.mark.parametrize("target", [1e-2, 1e-6])
