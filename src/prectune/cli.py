@@ -40,8 +40,6 @@ from .learn import (
     save_classifier,
     save_regressor,
     split_dataset,
-    train_classifier,
-    train_regressor,
 )
 from .solve import brute_force_optimum, fit_models, fptuning_baseline, smart_tune, smart_tune_plus
 
@@ -354,12 +352,9 @@ def cmd_train(args) -> int:
 
     # quality is measured on a held-out split, the saved models use all data
     train_part, hold_part = split_dataset(ds, 0.2, seed=cfg.seed_train)
-    reg_eval = train_regressor(train_part, tc)
-    clf_eval = train_classifier(train_part, tc)
-    metrics = eval_models(reg_eval, clf_eval, hold_part)
+    metrics = eval_models(*fit_models(train_part, tc), hold_part)
 
-    regressor = train_regressor(ds, tc)
-    classifier = train_classifier(ds, tc)
+    regressor, classifier = fit_models(ds, tc)
     reg_path = os.path.join(outdir, f"{bench}_regressor.json")
     clf_path = os.path.join(outdir, f"{bench}_classifier.json")
     save_regressor(regressor, reg_path)
@@ -498,9 +493,7 @@ def cmd_sweep(args) -> int:
         holdout = replace(master, samples=master.samples[sizes[-1]:])
         for size in sizes:
             sub = replace(master, samples=master.samples[:size])
-            regressor = train_regressor(sub, tc)
-            classifier = train_classifier(sub, tc)
-            metrics = eval_models(regressor, classifier, holdout)
+            metrics = eval_models(*fit_models(sub, tc), holdout)
             rows.append(
                 [size, bench, repr(metrics["rmse"]), repr(metrics["accuracy"])]
             )
