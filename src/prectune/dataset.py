@@ -14,7 +14,10 @@ regression target is the negated decimal log of the error, clamped to
 
 Configs are drawn by integer Latin hypercube sampling over the full width
 box.  Dependency edges between slots are deliberately not enforced here:
-the models see the whole box and the solver applies the constraints.
+the models see the whole box and the solver applies the constraints.  The
+kernel runs them in batches of as many configs as keep the batch's copies
+of the input set within BATCH_ELEMENTS values; a batched run gives each
+config the bits it gets alone.
 """
 
 from __future__ import annotations
@@ -32,6 +35,9 @@ ERROR_FLOOR = 1e-40
 LOG_ERR_CAP = 40.0
 CLASS_THRESHOLD = 0.9
 _REF_EPS = 1e-60
+# 16 configs of a 1024-value input per kernel run: the per-call cost of the
+# emulation is spread thin without growing the process's peak memory
+BATCH_ELEMENTS = 1 << 14
 
 
 class DatasetFormatError(ValueError):
@@ -111,15 +117,19 @@ def reference_output(benchmark: str, input_set: InputSet) -> np.ndarray:
     return run_kernel(benchmark, input_set, [MANTISSA_MAX] * n)
 
 
-def make_sample(benchmark: str, input_set: InputSet, config, ref: np.ndarray) -> Sample:
-    out = run_kernel(benchmark, input_set, config)
-    err = compute_error(out, ref)
+def error_sample(config, error: float) -> Sample:
+    """The sample of a config whose run had the given error: the error's
+    log and its class (1 above CLASS_THRESHOLD)."""
     return Sample(
         config=tuple(int(b) for b in config),
-        error=err,
-        log_err=log_error(err),
-        class_label=int(err > CLASS_THRESHOLD),
+        error=error,
+        log_err=log_error(error),
+        class_label=int(error > CLASS_THRESHOLD),
     )
+
+
+def make_sample(benchmark: str, input_set: InputSet, config, ref: np.ndarray) -> Sample:
+    return error_sample(config, compute_error(run_kernel(benchmark, input_set, config), ref))
 
 
 def build_dataset(
@@ -137,7 +147,13 @@ def build_dataset(
         input_set = gen_input_set(benchmark, shape, seed_input)
     ref = reference_output(benchmark, input_set)
     configs = lhs_configs(n_samples, desc.n_var, nbit_lo, nbit_hi, seed_sample)
-    samples = [make_sample(benchmark, input_set, cfg, ref) for cfg in configs]
+    values = sum(np.size(a) for a in input_set.arrays.values())
+    step = max(1, BATCH_ELEMENTS // values)
+    samples = []
+    for i in range(0, n_samples, step):
+        batch = configs[i : i + step]
+        outs = run_kernel(benchmark, input_set, batch)
+        samples.extend(error_sample(cfg, compute_error(out, ref)) for cfg, out in zip(batch, outs))
     return Dataset(
         benchmark=benchmark,
         nbit_lo=nbit_lo,

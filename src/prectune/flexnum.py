@@ -9,6 +9,21 @@ overflow to infinity.  Operations are computed exactly in binary64 and the
 A format with 52 mantissa bits and 11 exponent bits has the same value grid
 as binary64 itself, so rounding to it is the identity and emulated operations
 are bit-identical to native ones.
+
+round_to_format has two paths that give the same bits.  With 11 exponent
+bits a format shares binary64's exponent range, and so its grid is every
+binary64 value whose low 52 - m mantissa bits are zero, subnormals
+included.  Rounding is then an integer add and mask on the bit pattern:
+add half an ulp of the target (minus one when the kept last bit is even,
+which breaks ties to even) and clear the dropped bits.  A carry out of the
+mantissa moves to the next binade, and one out of the largest binade lands
+on the pattern of inf, which is the overflow.  Only NaN needs a guard,
+since the add can carry a payload into the sign bit or clear it.  Narrower
+exponent fields take the general path: scale by the frexp exponent so that
+the grid spacing becomes one, rint, scale back and test for overflow.
+
+A FormatBatch gives one format per row of an array's leading axis, so one
+call rounds the same value of many configs at once.
 """
 
 from __future__ import annotations
@@ -60,42 +75,109 @@ class FlexFormat:
     @property
     def max_value(self) -> float:
         # (2 - 2^-m) * 2^emax, always finite in binary64 since emax <= 1023
-        return float(np.ldexp(2.0 - np.ldexp(1.0, -self.mantissa_bits), self.emax))
+        return float(_max_value(self.mantissa_bits, self.emax))
 
 
 BINARY64 = FlexFormat(52, 11)
 
 
-def round_to_format(x, fmt: FlexFormat):
+def _max_value(mantissa_bits, emax):
+    return np.ldexp(2.0 - np.ldexp(1.0, -mantissa_bits), emax)
+
+
+@dataclass(frozen=True, eq=False)
+class FormatBatch:
+    """One format per row of a batch: row i of an array's leading axis is
+    rounded to FlexFormat(mantissa_bits[i], exponent_bits)."""
+
+    mantissa_bits: np.ndarray
+    exponent_bits: int = 11
+
+    def __post_init__(self) -> None:
+        m = np.asarray(self.mantissa_bits, dtype=np.int64)
+        if m.ndim != 1 or not m.size:
+            raise ValueError(f"a format batch needs a 1-d array of widths, got shape {m.shape}")
+        # the narrowest and widest rows stand for all of them
+        FlexFormat(int(m.min()), self.exponent_bits)
+        FlexFormat(int(m.max()), self.exponent_bits)
+        object.__setattr__(self, "mantissa_bits", m)
+
+
+# Row m holds the constants of bit-pattern rounding to m mantissa bits: the
+# number d of dropped bits, the mask of the kept last bit (zero when nothing
+# is dropped), half an ulp of the target minus one, and the mask of the kept
+# bits.
+_BIT_TABLE = np.array(
+    [(d, int(d > 0), (1 << d >> 1) - (d > 0), -(1 << d) % 2**64) for d in range(MANTISSA_MAX, -1, -1)],
+    dtype=np.uint64,
+)
+_BIT_ROWS = [tuple(row) for row in _BIT_TABLE]
+
+
+def _round_bits(arr: np.ndarray, drop, lsb, half, keep) -> np.ndarray:
+    """Bit-pattern rounding for 11 exponent bits, given one row of
+    _BIT_TABLE or columns that broadcast against arr."""
+    bits = arr.view(np.uint64)
+    t = bits >> drop
+    t &= lsb
+    t += half
+    t += bits
+    t &= keep
+    out = t.view(np.float64)
+    np.copyto(out, arr, where=np.isnan(arr))
+    return out
+
+
+def _round_frexp(arr: np.ndarray, m, exponent_bits: int) -> np.ndarray:
+    """General rounding for any exponent width; m broadcasts against arr.
+
+    The grid spacing at x is 2^(max(e-1, emin) - m) where e is the frexp
+    exponent of x, which covers normals, the subnormal range (fixed
+    spacing) and the binade crossings in one formula.  All the scalings
+    are exact in binary64, so the single rint is the only rounding step
+    and inherits the FPU's ties-to-even behaviour."""
+    emax = 2 ** (exponent_bits - 1) - 1
+    finite = np.isfinite(arr)
+    work = np.where(finite, arr, 0.0)
+
+    _, e = np.frexp(work)
+    k = np.maximum(e - 1, 1 - emax) - m
+    with np.errstate(over="ignore", invalid="ignore"):
+        scaled = np.ldexp(work, -k)
+        rounded = np.ldexp(np.rint(scaled), k)
+        overflow = np.abs(rounded) > _max_value(m, emax)
+        rounded = np.where(overflow, np.copysign(np.inf, work), rounded)
+    return np.where(finite, rounded, arr)
+
+
+def round_to_format(x, fmt: FlexFormat | FormatBatch):
     """Round binary64 value(s) to the nearest value of fmt, ties to even.
 
     NaN stays NaN, +/-inf stay themselves, signed zeros are preserved.
     Finite values whose rounded magnitude exceeds fmt's largest finite
     value overflow to +/-inf.  Accepts scalars or arrays; returns a float
-    for scalar input and an ndarray otherwise.
-
-    The grid spacing at x is 2^(max(e-1, emin) - mantissa_bits) where
-    e is the frexp exponent of x, which covers normals, the subnormal
-    range (fixed spacing) and the binade crossings in one formula.  All
-    the scalings below are exact in binary64, so the single rint is the
-    only rounding step and inherits the FPU's ties-to-even behaviour.
+    for scalar input and a new ndarray otherwise.  A FormatBatch rounds
+    each row of x's leading axis to its own format.
     """
     arr = np.asarray(x, dtype=np.float64)
-    finite = np.isfinite(arr)
-    work = np.where(finite, arr, 0.0)
-
-    _, e = np.frexp(work)
-    k = np.maximum(e - 1, fmt.emin) - fmt.mantissa_bits
-    with np.errstate(over="ignore", invalid="ignore"):
-        scaled = np.ldexp(work, -k)
-        rounded = np.ldexp(np.rint(scaled), k)
-        overflow = np.abs(rounded) > fmt.max_value
-        rounded = np.where(overflow, np.copysign(np.inf, work), rounded)
-
-    out = np.where(finite, rounded, arr)
-    if np.ndim(x) == 0:
-        return float(out)
-    return out
+    scalar = arr.ndim == 0
+    if scalar:
+        arr = arr.reshape(1)
+    m = fmt.mantissa_bits
+    batch = isinstance(fmt, FormatBatch)
+    if batch:
+        if scalar or arr.shape[0] != len(m):
+            raise ValueError(f"{len(m)} formats for an array of shape {np.shape(x)}")
+        m = m.reshape((-1,) + (1,) * (arr.ndim - 1))
+    if fmt.exponent_bits != BINARY64.exponent_bits:
+        out = _round_frexp(arr, m, fmt.exponent_bits)
+    elif batch:
+        out = _round_bits(arr, *np.moveaxis(_BIT_TABLE[m], -1, 0))
+    elif m == MANTISSA_MAX:
+        out = arr.copy()  # callers write into what they get back
+    else:
+        out = _round_bits(arr, *_BIT_ROWS[m])
+    return float(out[0]) if scalar else out
 
 
 _OPS = {

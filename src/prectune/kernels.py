@@ -41,6 +41,15 @@ jacobi (25): 0 grid A, 1 grid B, 2 diffusion coefficient, 3 source term,
 
 Transcendentals (log, sqrt, exp, the normal cdf) are evaluated in binary64
 and their result is rounded once at the consuming slot, like any other op.
+
+Runs are batched.  run_kernel takes a (B, n_var) array of configs and runs
+all B of them in one pass: every value a runner handles carries a leading
+config axis, inputs are broadcast along it when loaded into their slots,
+and runners index with "..." so that one body serves any batch size.  Each
+slot's rounding is one round_to_format call over the whole batch, with a
+FormatBatch when the configs disagree on that slot's width.  Every
+operation is elementwise along the config axis, so row i of a batch is
+bit for bit the run of config i alone.
 """
 
 from __future__ import annotations
@@ -50,7 +59,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .flexnum import MANTISSA_MAX, MANTISSA_MIN, FlexFormat, round_to_format
+from .flexnum import MANTISSA_MAX, MANTISSA_MIN, FlexFormat, FormatBatch, round_to_format
 
 EXPONENT_BITS = 11
 
@@ -164,26 +173,41 @@ def gen_input_set(name: str, shape: dict[str, int] | None = None, seed: int = 0)
 def run_kernel(name: str, input_set: InputSet, config) -> np.ndarray:
     """Run a kernel under the given per-slot mantissa widths.
 
-    Returns the flattened output vector.  The config must list one
-    integer width per slot; widths live in the global mantissa range.
+    With one integer width per slot, returns the flattened output vector.
+    A (B, n_var) array of configs runs as one batch and returns a
+    (B, n_out) array whose row i is the output of config i.  Widths live
+    in the global mantissa range.
     """
     desc = get_benchmark(name)
     if input_set.benchmark != name:
         raise ConfigError(
             f"input set was generated for {input_set.benchmark!r}, not {name!r}"
         )
-    cfg = [int(b) for b in config]
-    if len(cfg) != desc.n_var:
-        raise ConfigError(f"{name}: config has {len(cfg)} widths, expected {desc.n_var}")
-    for b in cfg:
-        if not MANTISSA_MIN <= b <= MANTISSA_MAX:
-            raise ConfigError(f"{name}: mantissa width {b} outside [{MANTISSA_MIN}, {MANTISSA_MAX}]")
-    fmts = [FlexFormat(b, EXPONENT_BITS) for b in cfg]
+    cfg = np.asarray(config).astype(np.int64)
+    widths = np.atleast_2d(cfg)
+    if cfg.ndim > 2 or widths.shape[1] != desc.n_var or not widths.size:
+        raise ConfigError(
+            f"{name}: config has shape {cfg.shape}, expected ({desc.n_var},) or (B, {desc.n_var})"
+        )
+    bad = widths[(widths < MANTISSA_MIN) | (widths > MANTISSA_MAX)]
+    if bad.size:
+        raise ConfigError(f"{name}: mantissa width {bad[0]} outside [{MANTISSA_MIN}, {MANTISSA_MAX}]")
+    batch = widths.shape[0]
+    # a slot every config gives the same width rounds with one plain format
+    uniform = (widths == widths[0]).all(axis=0)
+    fmts = [
+        FlexFormat(int(w), EXPONENT_BITS) if same else FormatBatch(col, EXPONENT_BITS)
+        for w, same, col in zip(widths[0], uniform, widths.T)
+    ]
 
     def rnd(slot, value):
         return round_to_format(value, fmts[slot])
 
-    return _RUNNERS[name](input_set, rnd)
+    def load(slot, value):
+        return rnd(slot, np.broadcast_to(value, (batch, *np.shape(value))))
+
+    out = _RUNNERS[name](input_set, rnd, load).reshape(batch, -1)
+    return out if cfg.ndim == 2 else out[0]
 
 
 # --- input serialization ---------------------------------------------------
@@ -234,20 +258,20 @@ def _gen_fwt(shape, rng):
     return {"x": rng.uniform(0.1, 10.0, n)}
 
 
-def _run_fwt(inp, rnd):
-    data = rnd(0, inp.arrays["x"])
-    n = data.shape[0]
+def _run_fwt(inp, rnd, load):
+    data = load(0, inp.arrays["x"])
+    batch, n = data.shape
     h = 1
     while h < n:
-        view = data.reshape(-1, 2 * h)
-        u = view[:, :h]
-        v = view[:, h:]
+        view = data.reshape(batch, -1, 2 * h)  # a view: the writes land in data
+        u = view[..., :h]
+        v = view[..., h:]
         s = rnd(1, u + v)
         d = rnd(1, u - v)
-        view[:, :h] = rnd(0, s)
-        view[:, h:] = rnd(0, d)
+        view[..., :h] = rnd(0, s)
+        view[..., h:] = rnd(0, d)
         h *= 2
-    return data.ravel()
+    return data
 
 
 _register(
@@ -277,10 +301,10 @@ def _gen_saxpy(shape, rng):
     }
 
 
-def _run_saxpy(inp, rnd):
-    x = rnd(0, inp.arrays["x"])
-    y = rnd(1, inp.arrays["y"])
-    a = rnd(2, float(inp.arrays["a"]))  # coefficient rides at the stage slot
+def _run_saxpy(inp, rnd, load):
+    x = load(0, inp.arrays["x"])
+    y = load(1, inp.arrays["y"])
+    a = load(2, float(inp.arrays["a"]))[:, None]  # coefficient rides at the stage slot
     t = rnd(2, a * x)
     t = rnd(2, t + y)
     return rnd(1, t)
@@ -316,18 +340,18 @@ def _gen_convolution(shape, rng):
     }
 
 
-def _run_convolution(inp, rnd):
-    img = rnd(0, inp.arrays["image"])
-    ker = rnd(1, inp.arrays["weights"])
-    kh, kw = ker.shape
-    oh = img.shape[0] - kh + 1
-    ow = img.shape[1] - kw + 1
-    acc = np.zeros((oh, ow))
+def _run_convolution(inp, rnd, load):
+    img = load(0, inp.arrays["image"])
+    ker = load(1, inp.arrays["weights"])
+    batch, kh, kw = ker.shape
+    oh = img.shape[1] - kh + 1
+    ow = img.shape[2] - kw + 1
+    acc = np.zeros((batch, oh, ow))
     for u in range(kh):
         for v in range(kw):
-            t = rnd(2, img[u : u + oh, v : v + ow] * ker[u, v])
+            t = rnd(2, img[..., u : u + oh, v : v + ow] * ker[..., u, v, None, None])
             acc = rnd(3, acc + t)
-    return acc.ravel()
+    return acc
 
 
 _register(
@@ -358,12 +382,12 @@ def _gen_dwt(shape, rng):
     return {"x": rng.uniform(0.1, 10.0, n)}
 
 
-def _run_dwt(inp, rnd):
-    x = rnd(0, inp.arrays["x"])
+def _run_dwt(inp, rnd, load):
+    x = load(0, inp.arrays["x"])
 
     def level(prev, slot_a, slot_d):
-        even = prev[0::2]
-        odd = prev[1::2]
+        even = prev[..., 0::2]
+        odd = prev[..., 1::2]
         a = rnd(slot_a, rnd(slot_a, even + odd) * _INV_SQRT2)
         d = rnd(slot_d, rnd(slot_d, even - odd) * _INV_SQRT2)
         return a, d
@@ -371,7 +395,7 @@ def _run_dwt(inp, rnd):
     a1, d1 = level(x, 1, 2)
     a2, d2 = level(a1, 3, 4)
     a3, d3 = level(a2, 5, 6)
-    return np.concatenate([a3, d3, d2, d1])
+    return np.concatenate([a3, d3, d2, d1], axis=-1)
 
 
 _register(
@@ -404,26 +428,30 @@ def _gen_correlation(shape, rng):
     return {"series": rng.uniform(0.1, 10.0, (s, t))}
 
 
-def _run_correlation(inp, rnd):
-    data = rnd(0, inp.arrays["series"])
-    s, t = data.shape
-    acc = np.zeros(s)
+def _outer(a, b):
+    """Outer product of the last axes, batched over the leading ones."""
+    return a[..., :, None] * b[..., None, :]
+
+
+def _run_correlation(inp, rnd, load):
+    data = load(0, inp.arrays["series"])
+    batch, s, t = data.shape
+    acc = np.zeros((batch, s))
     for j in range(t):
-        acc = rnd(1, acc + data[:, j])
+        acc = rnd(1, acc + data[..., j])
     mean = rnd(1, acc / t)
-    dev = rnd(2, data - mean[:, None])
-    cov = np.zeros((s, s))
+    dev = rnd(2, data - mean[..., None])
+    cov = np.zeros((batch, s, s))
     for j in range(t):
-        cov = rnd(3, cov + rnd(3, np.outer(dev[:, j], dev[:, j])))
+        cov = rnd(3, cov + rnd(3, _outer(dev[..., j], dev[..., j])))
     cov = rnd(3, cov / t)
-    var = np.zeros(s)
+    var = np.zeros((batch, s))
     for j in range(t):
-        var = rnd(4, var + rnd(4, dev[:, j] * dev[:, j]))
+        var = rnd(4, var + rnd(4, dev[..., j] * dev[..., j]))
     var = rnd(4, var / t)
     std = rnd(5, np.sqrt(var))
-    denom = rnd(6, np.outer(std, std))
-    corr = rnd(6, cov / denom)
-    return corr.ravel()
+    denom = rnd(6, _outer(std, std))
+    return rnd(6, cov / denom)
 
 
 _register(
@@ -469,12 +497,12 @@ def _gen_bscholes(shape, rng):
     }
 
 
-def _run_bscholes(inp, rnd):
-    s = rnd(0, inp.arrays["spot"])
-    k = rnd(1, inp.arrays["strike"])
-    r = rnd(2, inp.arrays["rate"])
-    sig = rnd(3, inp.arrays["volatility"])
-    t = rnd(4, inp.arrays["maturity"])
+def _run_bscholes(inp, rnd, load):
+    s = load(0, inp.arrays["spot"])
+    k = load(1, inp.arrays["strike"])
+    r = load(2, inp.arrays["rate"])
+    sig = load(3, inp.arrays["volatility"])
+    t = load(4, inp.arrays["maturity"])
 
     ratio = rnd(5, s / k)
     lnr = rnd(6, np.log(ratio))
@@ -555,29 +583,29 @@ def _gen_jacobi(shape, rng):
 
 
 def _jacobi_half_step(u, dst, dst_slot, base, alpha, src, rnd):
-    c = u[1:-1, 1:-1]
-    dn = rnd(base + 0, u[:-2, 1:-1] - c)
-    ds = rnd(base + 1, u[2:, 1:-1] - c)
-    dw = rnd(base + 2, u[1:-1, :-2] - c)
-    de = rnd(base + 3, u[1:-1, 2:] - c)
+    c = u[..., 1:-1, 1:-1]
+    dn = rnd(base + 0, u[..., :-2, 1:-1] - c)
+    ds = rnd(base + 1, u[..., 2:, 1:-1] - c)
+    dw = rnd(base + 2, u[..., 1:-1, :-2] - c)
+    de = rnd(base + 3, u[..., 1:-1, 2:] - c)
     sv = rnd(base + 4, dn + ds)
     sh = rnd(base + 5, dw + de)
     lap = rnd(base + 6, sv + sh)
     diff = rnd(base + 7, alpha * lap)
     new = rnd(base + 8, c + diff)
-    tot = rnd(base + 9, new + src[1:-1, 1:-1])
-    dst[1:-1, 1:-1] = rnd(dst_slot, tot)
+    tot = rnd(base + 9, new + src[..., 1:-1, 1:-1])
+    dst[..., 1:-1, 1:-1] = rnd(dst_slot, tot)
 
 
-def _run_jacobi(inp, rnd):
-    a = rnd(0, inp.arrays["grid"])
-    src = rnd(3, inp.arrays["source"])
-    alpha = rnd(2, _JACOBI_ALPHA)
+def _run_jacobi(inp, rnd, load):
+    a = load(0, inp.arrays["grid"])
+    src = load(3, inp.arrays["source"])
+    alpha = load(2, _JACOBI_ALPHA)[:, None, None]
     b = rnd(1, a)
     for _ in range(inp.shape["iters"]):
         _jacobi_half_step(a, b, 1, 5, alpha, src, rnd)
         _jacobi_half_step(b, a, 0, 15, alpha, src, rnd)
-    return rnd(4, a).ravel()
+    return rnd(4, a)
 
 
 _register(

@@ -30,15 +30,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dataset import (
-    Dataset,
-    Sample,
-    build_dataset,
-    compute_error,
-    log_error,
-    make_sample,
-    reference_output,
-)
+from .dataset import Dataset, build_dataset, compute_error, error_sample, log_error, reference_output
 from .embed import DomainBox
 from .flexnum import MANTISSA_MAX, MANTISSA_MIN
 from .kernels import CAST, InputSet, dependency_graph, get_benchmark, run_kernel
@@ -556,6 +548,11 @@ def smart_tune(
 ) -> TunedResult:
     """Propose-verify-retrain until a config really meets the target.
 
+    When the first models promise no config at all, the all-nbit_max config
+    is verified instead.  If it passes, it is walked down with the
+    baseline's descent (status "max_descent"); if it misses, the status is
+    "model_infeasible" with that one run's error.
+
     kernel_runs counts executions made by this call, including dataset
     construction when no dataset is passed in.  A passed-in dataset is
     left untouched; misses extend a private copy.  models, when given, is
@@ -592,6 +589,18 @@ def smart_tune(
             benchmark, regressor, classifier, target_error, nbit_min, nbit_max, cuts
         )
         sol = solve_mp(problem)
+        if sol is None and iteration == 1:
+            # no verify run yet to learn from: ask the kernel, not the models
+            base = fptuning_baseline(
+                benchmark, input_set, target_error, nbit_min, nbit_max, ref=ref
+            )
+            return replace(
+                base,
+                refinement_iterations=iteration,
+                kernel_runs=kernel_runs + base.kernel_runs,
+                wall_time=time.perf_counter() - t0,
+                status="max_descent" if base.feasible else "model_infeasible",
+            )
         if sol is None:
             return TunedResult(
                 solution=last_sol,
@@ -619,9 +628,7 @@ def smart_tune(
                 status="feasible",
             )
         # miss: learn from it and never propose it again
-        dataset.samples.append(
-            Sample(sol.config, err, log_error(err), int(err > 0.9))
-        )
+        dataset.samples.append(error_sample(sol.config, err))
         samples_added += 1
         cuts.add(sol.config)
         regressor, classifier = fit_models(dataset, train_cfg)
@@ -662,17 +669,30 @@ def plus_refine(
     return _descend(config, edges, nbit_min, verified)
 
 
+def _measured_solution(config, error: float) -> Solution:
+    """A verified config, with its measured log error and class."""
+    sample = error_sample(config, error)
+    return Solution(
+        config=sample.config,
+        total_bits=sum(sample.config),
+        predicted_logerr=sample.log_err,
+        classifier_class=sample.class_label,
+    )
+
+
 def fptuning_baseline(
     benchmark: str,
     input_set: InputSet,
     target_error: float,
     nbit_min: int = MANTISSA_MIN,
     nbit_max: int = MANTISSA_MAX,
+    ref: np.ndarray | None = None,
 ) -> TunedResult:
     """Model-free descent from the all-max config."""
     t0 = time.perf_counter()
     n = get_benchmark(benchmark).n_var
-    ref = reference_output(benchmark, input_set)
+    if ref is None:
+        ref = reference_output(benchmark, input_set)
     start = (nbit_max,) * n  # uniform widths always satisfy the edges
     out = run_kernel(benchmark, input_set, start)
     err = compute_error(out, ref)
@@ -690,14 +710,8 @@ def fptuning_baseline(
     cfg, runs, passes = plus_refine(benchmark, input_set, start, target_error, nbit_min, ref)
     final = run_kernel(benchmark, input_set, cfg)
     final_err = compute_error(final, ref)
-    sol = Solution(
-        config=cfg,
-        total_bits=int(sum(cfg)),
-        predicted_logerr=log_error(final_err),
-        classifier_class=int(final_err > 0.9),
-    )
     return TunedResult(
-        solution=sol,
+        solution=_measured_solution(cfg, final_err),
         actual_error=final_err,
         feasible=final_err <= target_error,
         refinement_iterations=passes,
@@ -718,7 +732,8 @@ def smart_tune_plus(
     t0 = time.perf_counter()
     ref = reference_output(benchmark, input_set)
     result = smart_tune(benchmark, input_set, target_error, ref=ref, **kwargs)
-    if not result.feasible or result.solution is None:
+    # a max_descent result has been through the same descent already
+    if not result.feasible or result.solution is None or result.status == "max_descent":
         return result
     nbit_min = kwargs.get("nbit_min", MANTISSA_MIN)
     cfg, runs, _ = plus_refine(
@@ -728,15 +743,9 @@ def smart_tune_plus(
     final_err = compute_error(final, ref)
     assert final_err <= target_error
     assert sum(cfg) <= result.solution.total_bits
-    sol = Solution(
-        config=cfg,
-        total_bits=int(sum(cfg)),
-        predicted_logerr=log_error(final_err),
-        classifier_class=int(final_err > 0.9),
-    )
     return replace(
         result,
-        solution=sol,
+        solution=_measured_solution(cfg, final_err),
         actual_error=final_err,
         kernel_runs=result.kernel_runs + runs + 1,
         wall_time=time.perf_counter() - t0,
@@ -806,9 +815,4 @@ def brute_force_optimum(
 
     if best is None:
         return None
-    return Solution(
-        config=best,
-        total_bits=int(best_sum),
-        predicted_logerr=log_error(best_err),
-        classifier_class=int(best_err > 0.9),
-    )
+    return _measured_solution(best, best_err)

@@ -322,3 +322,27 @@ def train_mlp_per_array(configs, log_errs, lo, hi, *, learning_rate=0.001, beta1
     weights[-1] *= sigma
     biases[-1] = biases[-1] * sigma + mu
     return weights, biases
+
+
+# --- per-config dataset build ----------------------------------------------------
+# The dataset build as first written: one kernel run per sampled config.  The
+# package runs the configs in batches; each config's output must not change.
+
+
+def samples_per_config(run, configs, ref):
+    """(config, error, log_err, class) per config, with run(config) giving
+    the kernel's output for one config: error is the worst relative squared
+    deviation from ref (inf for any non-finite output), log_err its clamped
+    negated decimal log, and class 1 for an error above 0.9."""
+    ref = np.asarray(ref, dtype=np.float64)
+    rows = []
+    for cfg in configs:
+        out = np.asarray(run(cfg), dtype=np.float64)
+        error = math.inf
+        if np.all(np.isfinite(out)):
+            worst = float(np.max((out - ref) ** 2 / np.maximum(ref**2, 1e-60)))
+            if not math.isnan(worst):
+                error = worst
+        log_err = float(np.clip(-np.log10(max(error, 1e-40)), -40.0, 40.0))
+        rows.append((tuple(int(b) for b in cfg), error, log_err, int(error > 0.9)))
+    return rows

@@ -176,9 +176,10 @@ class TestTuneCommand:
         assert doc["dataset_runs"] == 0
 
     def test_exit_one_on_infeasible(self, tmp_path):
+        # 1e-25 is out of reach with at most 10 bits; at 52 it is met exactly
         rc = run("tune", "--benchmark", "saxpy", "--target", "1e-25",
                  "--mode", "smart", "--shape", "n=64", "--dataset-size", "40",
-                 "--budget", "2", "--out", str(tmp_path))
+                 "--nbit-max", "10", "--budget", "2", "--out", str(tmp_path))
         assert rc == EXIT_INFEASIBLE
         doc = json.loads((tmp_path / "saxpy_smart_1e-25.json").read_text())
         assert doc["feasible"] is False

@@ -7,6 +7,7 @@ import pytest
 
 from prectune import dataset as D
 from prectune import kernels as K
+from oracles import samples_per_config
 from prectune.dataset import (
     CLASS_THRESHOLD,
     Dataset,
@@ -17,6 +18,7 @@ from prectune.dataset import (
     lhs_configs,
     load_dataset,
     log_error,
+    error_sample,
     make_sample,
     reference_output,
     save_dataset,
@@ -136,6 +138,68 @@ class TestMakeSample:
         ref = reference_output("fwt", inp)
         s = make_sample("fwt", inp, [1, 1], ref)
         assert s.class_label == 1
+
+
+class TestErrorSample:
+    def test_class_threshold(self):
+        assert error_sample((3, 4), CLASS_THRESHOLD).class_label == 0
+        assert error_sample((3, 4), math.nextafter(CLASS_THRESHOLD, 1.0)).class_label == 1
+        s = error_sample(np.array([3, 4]), math.inf)
+        assert s == D.Sample((3, 4), math.inf, -40.0, 1)
+        assert type(s.config[0]) is int
+
+    def test_fields(self):
+        s = error_sample([7, 8, 9], 1e-10)
+        assert s.config == (7, 8, 9)
+        assert s.error == 1e-10 and s.log_err == log_error(1e-10) and s.class_label == 0
+
+
+BATCH_SHAPES = {
+    "fwt": {"n": 64},
+    "saxpy": {"n": 40},
+    "convolution": {"rows": 14, "cols": 16},
+    "dwt": {"n": 64},
+    "correlation": {"series": 4, "points": 16},
+    "bscholes": {"n": 16},
+    "jacobi": {"side": 6, "iters": 3},
+}
+
+
+class TestBatchedBuild:
+    """build_dataset runs its configs in batches; the per-config loop in
+    oracles.py must give the same samples, whatever the batch size."""
+
+    @pytest.mark.parametrize("name", sorted(BATCH_SHAPES))
+    @pytest.mark.parametrize("budget", [1, 300, D.BATCH_ELEMENTS])
+    def test_matches_per_config_build(self, name, budget, monkeypatch):
+        inp = K.gen_input_set(name, BATCH_SHAPES[name], 3)
+        calls = []
+
+        def counted(bench, input_set, config):
+            calls.append(np.shape(config))
+            return K.run_kernel(bench, input_set, config)
+
+        monkeypatch.setattr(D, "BATCH_ELEMENTS", budget)
+        monkeypatch.setattr(D, "run_kernel", counted)
+        ds = build_dataset(name, n_samples=37, input_set=inp, seed_sample=5)
+        values = sum(np.size(a) for a in inp.arrays.values())
+        step = max(1, budget // values)
+        n_var = K.get_benchmark(name).n_var
+        # the reference run, then the batches
+        assert calls == [(n_var,)] + [(min(step, 37 - i), n_var) for i in range(0, 37, step)]
+
+        ref = reference_output(name, inp)
+        configs = D.lhs_configs(37, n_var, 1, 52, 5)
+        want = samples_per_config(lambda c: K.run_kernel(name, inp, c), configs, ref)
+        assert [(s.config, s.error, s.log_err, s.class_label) for s in ds.samples] == want
+
+    def test_class_one_samples_survive_batching(self):
+        inp = K.gen_input_set("fwt", {"n": 64}, seed=1)
+        ds = build_dataset("fwt", n_samples=60, input_set=inp, seed_sample=0)
+        ref = reference_output("fwt", inp)
+        want = samples_per_config(lambda c: K.run_kernel("fwt", inp, c), ds.configs(), ref)
+        assert any(row[3] == 1 for row in want)
+        assert [(s.config, s.error, s.log_err, s.class_label) for s in ds.samples] == want
 
 
 class TestBuildDataset:

@@ -13,6 +13,8 @@ from oracles import round_by_grid_search, round_nearest_even
 from prectune.flexnum import (
     BINARY64,
     FlexFormat,
+    FormatBatch,
+    _round_frexp,
     flex_op,
     round_to_format,
 )
@@ -223,3 +225,102 @@ class TestFlexOp:
         f = FlexFormat(1, 11)
         # 2.75 at 1 mantissa bit: step 1.0 in [2,4): candidates 2(i=2),3(i=3): 2.75 -> 3.0
         assert flex_op("mul", 1.375, 2.0, f) == 3.0
+
+
+def _bits(x) -> bytes:
+    return np.asarray(x, dtype=np.float64).tobytes()
+
+
+class TestBitPatternPath:
+    """With 11 exponent bits round_to_format adds and masks on the binary64
+    bit pattern; the frexp path, kept for narrower exponents, must give the
+    same bits."""
+
+    NAN_PAYLOADS = [0x7FF8000000000000, 0x7FF0000000000001, 0x7FFFFFFFFFFFFFFF,
+                    0xFFF8000000000000, 0xFFF0000000000001, 0x7FF4000000000000]
+
+    @staticmethod
+    def values() -> np.ndarray:
+        rng = np.random.default_rng(52)
+        with np.errstate(over="ignore"):
+            normals = 10.0 ** rng.uniform(-307, 308, 2000)
+        subnormals = rng.integers(1, 2**52, 500, dtype=np.uint64).view(np.float64)
+        # just below and at powers of two: rounding up carries into the next binade
+        powers = np.ldexp(1.0, np.arange(-1074, 1024))
+        carries = np.concatenate([np.nextafter(powers, 0.0), powers, powers * 1.75])
+        edges = np.array([0.0, 5e-324, 2.2250738585072014e-308, 2.225073858507201e-308,
+                          1.7976931348623157e308, 1.5 * 2.0**1023, np.inf])
+        vals = np.concatenate([normals, subnormals, carries, edges])
+        nans = np.array(TestBitPatternPath.NAN_PAYLOADS, dtype=np.uint64).view(np.float64)
+        return np.concatenate([vals, -vals, nans])
+
+    @pytest.mark.parametrize("mbits", range(1, 53))
+    def test_matches_frexp_path(self, mbits):
+        vals = self.values()
+        with np.errstate(over="ignore"):
+            want = _round_frexp(vals, mbits, 11)
+        got = round_to_format(vals, FlexFormat(mbits, 11))
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("mbits", [1, 7, 23, 51, 52])
+    def test_nan_payloads_kept(self, mbits):
+        nans = np.array(self.NAN_PAYLOADS, dtype=np.uint64).view(np.float64)
+        assert round_to_format(nans, FlexFormat(mbits, 11)).tobytes() == nans.tobytes()
+
+    @pytest.mark.parametrize("mbits", [1, 4, 30, 52])
+    def test_scalars_and_zero_d_arrays(self, mbits):
+        fmt = FlexFormat(mbits, 11)
+        for x in [0.1, -0.0, 0.0, 1.7976931348623157e308, 5e-324, -math.inf, math.nan, 3]:
+            want = float(_round_frexp(np.array([x], dtype=np.float64), mbits, 11)[0])
+            for arg in (x, np.float64(x), np.array(x)):
+                got = round_to_format(arg, fmt)
+                assert type(got) is float
+                assert _bits(got) == _bits(want), (x, mbits)
+
+    def test_overflow_at_one_bit(self):
+        fmt = FlexFormat(1, 11)
+        assert round_to_format(1.7976931348623157e308, fmt) == math.inf
+        assert round_to_format(-1.7e308, fmt) == -math.inf
+        assert round_to_format(1.5 * 2.0**1023, fmt) == 1.5 * 2.0**1023
+
+    @pytest.mark.parametrize("mbits", [1, 30, 52])
+    def test_result_never_aliases_input(self, mbits):
+        x = np.linspace(0.5, 9.5, 16)
+        before = x.copy()
+        out = round_to_format(x, FlexFormat(mbits, 11))
+        assert not np.shares_memory(out, x)
+        out[:] = -1.0  # the kernels write into what they get back
+        assert x.tobytes() == before.tobytes()
+
+
+class TestFormatBatch:
+    @pytest.mark.parametrize("ebits", [11, 8])
+    def test_rows_match_single_rounding(self, ebits):
+        rng = np.random.default_rng(9)
+        widths = np.array([1, 52, 7, 52, 23, 1])
+        with np.errstate(over="ignore"):
+            x = (10.0 ** rng.uniform(-320, 308, (len(widths), 5, 40))) * rng.choice([-1.0, 1.0], (len(widths), 5, 40))
+        x[0, 0, :3] = [math.nan, math.inf, -0.0]
+        got = round_to_format(x, FormatBatch(widths, ebits))
+        assert got.shape == x.shape
+        for i, m in enumerate(widths):
+            assert got[i].tobytes() == round_to_format(x[i], FlexFormat(int(m), ebits)).tobytes()
+
+    def test_broadcast_input_gets_a_fresh_array(self):
+        x = np.arange(1.0, 9.0)
+        batch = np.broadcast_to(x, (3, x.size))
+        out = round_to_format(batch, FormatBatch(np.array([52, 52, 3])))
+        out[:] = 0.0
+        assert x.tolist() == list(np.arange(1.0, 9.0))
+
+    def test_bad_batches(self):
+        with pytest.raises(ValueError):
+            FormatBatch(np.array([4, 53]))
+        with pytest.raises(ValueError):
+            FormatBatch(np.array([4, 4]), 12)
+        with pytest.raises(ValueError):
+            FormatBatch(np.array([], dtype=np.int64))
+        with pytest.raises(ValueError):
+            round_to_format(np.zeros((3, 2)), FormatBatch(np.array([4, 5])))
+        with pytest.raises(ValueError):
+            round_to_format(1.0, FormatBatch(np.array([4])))

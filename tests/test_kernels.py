@@ -2,6 +2,7 @@
 input generation, validation errors, serialization."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -191,6 +192,14 @@ class TestRunValidation:
         with pytest.raises(ConfigError):
             K.run_kernel("fwt", inp, [52, 52])
 
+    def test_batch_shape(self):
+        inp = K.gen_input_set("saxpy", SMALL_SHAPES["saxpy"])
+        for bad in (np.full((2, 2), 52), np.full((0, 3), 52), np.full((1, 2, 3), 52)):
+            with pytest.raises(ConfigError):
+                K.run_kernel("saxpy", inp, bad)
+        with pytest.raises(ConfigError):
+            K.run_kernel("saxpy", inp, [[52, 52, 52], [52, 0, 52]])
+
 
 class TestFullPrecisionFidelity:
     """At 52 mantissa bits every rounding is the identity, so the tuned
@@ -369,3 +378,71 @@ class TestInputSerialization:
         path.write_text("1.0\n2.0\n")
         with pytest.raises(ValueError):
             K.load_input_set(path)
+
+
+# the array whose first value _spiked raises; saxpy's x would also overflow
+# a*x at 52 bits
+SPIKED_ARRAY = {"saxpy": "y"}
+# kernels whose products or squares overflow from the spike at any width
+SPIKE_OVERFLOWS_AT_52 = {"convolution", "correlation"}
+
+
+def _spiked(inp):
+    """The input set with one value near the top of binary64: finite at 52
+    bits, rounded up to inf at 1 bit."""
+    arrays = dict(inp.arrays)
+    name = SPIKED_ARRAY.get(inp.benchmark, next(iter(arrays)))
+    arrays[name] = arrays[name].copy()
+    arrays[name].flat[0] = 1.7e308
+    return replace(inp, arrays=arrays)
+
+
+class TestBatchedRuns:
+    """A batch of configs runs as one pass; row i must be bit for bit the
+    run of config i alone."""
+
+    @staticmethod
+    def configs(name) -> np.ndarray:
+        n = K.get_benchmark(name).n_var
+        rng = np.random.default_rng(n)
+        cfgs = rng.integers(1, 53, (9, n))
+        cfgs[1] = 1
+        cfgs[2] = 52
+        cfgs[3] = 1
+        cfgs[5] = cfgs[4]
+        cfgs[6] = 52
+        return cfgs
+
+    @pytest.mark.parametrize("name", ALL_BENCHMARKS)
+    @pytest.mark.parametrize("spike", [False, True])
+    def test_batch_matches_single_runs(self, name, spike):
+        inp = K.gen_input_set(name, SMALL_SHAPES[name], 4)
+        if spike:
+            inp = _spiked(inp)
+        before = {k: np.array(v).tobytes() for k, v in inp.arrays.items()}
+        cfgs = self.configs(name)
+        with np.errstate(all="ignore"):
+            singles = np.stack([K.run_kernel(name, inp, tuple(c)) for c in cfgs])
+            batch = K.run_kernel(name, inp, cfgs)
+            ones = [K.run_kernel(name, inp, c[None, :]) for c in cfgs]
+        assert batch.shape == singles.shape
+        assert batch.tobytes() == singles.tobytes()
+        for one, single in zip(ones, singles):
+            assert one.shape == (1, single.size)
+            assert one.tobytes() == single.tobytes()
+        # the all-1 rows overflow next to all-52 rows
+        finite = np.isfinite(batch).all(axis=1)
+        if not spike:
+            assert finite.all()
+        else:
+            assert not finite[1] and not finite[3]
+            assert finite[2] == finite[6] == (name not in SPIKE_OVERFLOWS_AT_52)
+        assert {k: np.array(v).tobytes() for k, v in inp.arrays.items()} == before
+
+    def test_uniform_and_mixed_slots(self):
+        # a slot all configs agree on rounds with one plain format, the
+        # others with one format per config; both must give single-run bits
+        inp = K.gen_input_set("correlation", SMALL_SHAPES["correlation"], 2)
+        cfgs = np.array([[30, 7, 52, 9, 52, 12, 1], [30, 20, 52, 3, 52, 40, 52]])
+        singles = np.stack([K.run_kernel("correlation", inp, c) for c in cfgs])
+        assert K.run_kernel("correlation", inp, cfgs).tobytes() == singles.tobytes()

@@ -366,14 +366,33 @@ class TestSmartTune:
         assert res.kernel_runs == 0
 
     def test_model_infeasible(self, saxpy_input):
-        # the models see only mediocre errors, the target demands far more
+        # the models see only mediocre errors, the target demands far more;
+        # the all-max config is verified before giving up, and misses too
         ds = flat_dataset(2.0)
         res = smart_tune("saxpy", saxpy_input, 1e-10, budget=5, nbit_min=4, nbit_max=6, dataset=ds)
         assert res.status == "model_infeasible"
         assert not res.feasible
         assert res.solution is None
+        assert res.actual_error > 1e-10
         assert res.refinement_iterations == 1
-        assert res.kernel_runs == 0
+        assert res.kernel_runs == 1
+
+    def test_model_infeasible_but_max_passes(self, saxpy_input):
+        # the models promise nothing at round 1, yet the all-max config meets
+        # the target: the result is the baseline's descent from it
+        ds = flat_dataset(2.0)
+        res = smart_tune("saxpy", saxpy_input, 1e-3, budget=5, nbit_min=4, nbit_max=6, dataset=ds)
+        base = fptuning_baseline("saxpy", saxpy_input, 1e-3, nbit_min=4, nbit_max=6)
+        assert res.status == "max_descent"
+        assert res.feasible and res.actual_error <= 1e-3
+        assert res.solution == base.solution
+        assert res.kernel_runs == base.kernel_runs
+        assert res.refinement_iterations == 1
+        assert res.samples_added == 0
+        # smart_tune_plus does not walk the same descent a second time
+        plus = smart_tune_plus("saxpy", saxpy_input, 1e-3, budget=5, nbit_min=4, nbit_max=6, dataset=ds)
+        assert plus.solution == res.solution and plus.kernel_runs == res.kernel_runs
+        assert plus.status == "max_descent"
 
     def test_budget_exhausted_records_miss(self, saxpy_input):
         # the models promise 1e-35 everywhere; reality disagrees
@@ -403,8 +422,8 @@ class TestSmartTune:
 
 class TestModelInfeasibleAtRoundOne:
     """fwt at 1e-12 on input seed 22: the models promise no config at round
-    1, so smart_tune gives up without a verify run, although the all-52
-    config meets the target."""
+    1, although the all-52 config meets the target.  smart_tune verifies
+    the all-52 config and descends from it."""
 
     TARGET = 1e-12
 
@@ -416,13 +435,13 @@ class TestModelInfeasibleAtRoundOne:
         out = run_kernel("fwt", fwt_input, (52, 52))
         assert compute_error(out, reference_output("fwt", fwt_input)) <= self.TARGET
 
-    @pytest.mark.xfail(strict=True, reason="smart_tune reports model_infeasible with no verify run")
     def test_smart_tune_finds_a_config(self, fwt_input):
         ds = build_dataset("fwt", n_samples=1000, input_set=fwt_input, seed_sample=0)
         res = smart_tune("fwt", fwt_input, self.TARGET, budget=100, dataset=ds,
                          train_cfg=TrainConfig(seed=0))
         assert res.kernel_runs > 0
         assert res.feasible and res.actual_error <= self.TARGET
+        assert res.status == "max_descent"
 
 
 class TestPlusRefine:
