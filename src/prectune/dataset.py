@@ -128,10 +128,6 @@ def error_sample(config, error: float) -> Sample:
     )
 
 
-def make_sample(benchmark: str, input_set: InputSet, config, ref: np.ndarray) -> Sample:
-    return error_sample(config, compute_error(run_kernel(benchmark, input_set, config), ref))
-
-
 def build_dataset(
     benchmark: str,
     n_samples: int = 1000,

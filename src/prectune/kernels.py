@@ -196,7 +196,7 @@ def run_kernel(name: str, input_set: InputSet, config) -> np.ndarray:
     # a slot every config gives the same width rounds with one plain format
     uniform = (widths == widths[0]).all(axis=0)
     fmts = [
-        FlexFormat(int(w), EXPONENT_BITS) if same else FormatBatch(col, EXPONENT_BITS)
+        FlexFormat(int(w), EXPONENT_BITS) if same else FormatBatch(col)
         for w, same, col in zip(widths[0], uniform, widths.T)
     ]
 

@@ -70,7 +70,8 @@ class TunedResult:
     kernel_runs: int
     wall_time: float
     status: str
-    # filled by smart_tune_plus: the accepted config before the descent
+    # filled by smart_tune_plus and by a max_descent result: the config the
+    # descent started from
     pre_refine_total_bits: int | None = None
     pre_refine_error: float | None = None
 
@@ -591,9 +592,7 @@ def smart_tune(
         sol = solve_mp(problem)
         if sol is None and iteration == 1:
             # no verify run yet to learn from: ask the kernel, not the models
-            base = fptuning_baseline(
-                benchmark, input_set, target_error, nbit_min, nbit_max, ref=ref
-            )
+            base = _descent_from_max(benchmark, input_set, target_error, nbit_min, nbit_max, ref)
             return replace(
                 base,
                 refinement_iterations=iteration,
@@ -680,19 +679,18 @@ def _measured_solution(config, error: float) -> Solution:
     )
 
 
-def fptuning_baseline(
+def _descent_from_max(
     benchmark: str,
     input_set: InputSet,
     target_error: float,
-    nbit_min: int = MANTISSA_MIN,
-    nbit_max: int = MANTISSA_MAX,
-    ref: np.ndarray | None = None,
+    nbit_min: int,
+    nbit_max: int,
+    ref: np.ndarray,
 ) -> TunedResult:
-    """Model-free descent from the all-max config."""
+    """Verify the all-nbit_max config and, if it meets the target, descend
+    from it; a descended result's pre_refine_* fields hold the all-max run."""
     t0 = time.perf_counter()
     n = get_benchmark(benchmark).n_var
-    if ref is None:
-        ref = reference_output(benchmark, input_set)
     start = (nbit_max,) * n  # uniform widths always satisfy the edges
     out = run_kernel(benchmark, input_set, start)
     err = compute_error(out, ref)
@@ -719,6 +717,28 @@ def fptuning_baseline(
         kernel_runs=runs + 2,
         wall_time=time.perf_counter() - t0,
         status="feasible",
+        pre_refine_total_bits=sum(start),
+        pre_refine_error=err,
+    )
+
+
+def fptuning_baseline(
+    benchmark: str,
+    input_set: InputSet,
+    target_error: float,
+    nbit_min: int = MANTISSA_MIN,
+    nbit_max: int = MANTISSA_MAX,
+) -> TunedResult:
+    """Model-free descent from the all-max config."""
+    t0 = time.perf_counter()
+    ref = reference_output(benchmark, input_set)
+    result = _descent_from_max(benchmark, input_set, target_error, nbit_min, nbit_max, ref)
+    # the baseline has no proposal of its own to refine
+    return replace(
+        result,
+        wall_time=time.perf_counter() - t0,
+        pre_refine_total_bits=None,
+        pre_refine_error=None,
     )
 
 

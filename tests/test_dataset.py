@@ -19,7 +19,6 @@ from prectune.dataset import (
     load_dataset,
     log_error,
     error_sample,
-    make_sample,
     reference_output,
     save_dataset,
 )
@@ -118,7 +117,7 @@ class TestMakeSample:
     def test_full_precision_sample(self):
         inp = K.gen_input_set("saxpy", {"n": 32}, seed=0)
         ref = reference_output("saxpy", inp)
-        s = make_sample("saxpy", inp, [52, 52, 52], ref)
+        s = error_sample([52, 52, 52], compute_error(K.run_kernel("saxpy", inp, [52, 52, 52]), ref))
         assert s.error == 0.0
         assert s.log_err == 40.0
         assert s.class_label == 0
@@ -127,7 +126,7 @@ class TestMakeSample:
     def test_low_precision_sample(self):
         inp = K.gen_input_set("saxpy", {"n": 32}, seed=0)
         ref = reference_output("saxpy", inp)
-        s = make_sample("saxpy", inp, [3, 3, 3], ref)
+        s = error_sample([3, 3, 3], compute_error(K.run_kernel("saxpy", inp, [3, 3, 3]), ref))
         assert 0.0 < s.error
         assert s.log_err == log_error(s.error)
         assert s.class_label == int(s.error > CLASS_THRESHOLD)
@@ -136,7 +135,7 @@ class TestMakeSample:
         # fwt at one bit loses everything to cancellation
         inp = K.gen_input_set("fwt", {"n": 64}, seed=1)
         ref = reference_output("fwt", inp)
-        s = make_sample("fwt", inp, [1, 1], ref)
+        s = error_sample([1, 1], compute_error(K.run_kernel("fwt", inp, [1, 1]), ref))
         assert s.class_label == 1
 
 
@@ -262,7 +261,7 @@ class TestSerialization:
     def test_round_trip_with_inf_error(self, tmp_path):
         inp = K.gen_input_set("fwt", {"n": 64}, seed=1)
         ref = reference_output("fwt", inp)
-        s = make_sample("fwt", inp, [1, 1], ref)
+        s = error_sample([1, 1], compute_error(K.run_kernel("fwt", inp, [1, 1]), ref))
         ds = Dataset("fwt", 1, 52, 1, 0, {"n": 64}, [s])
         path = tmp_path / "fwt.csv"
         save_dataset(ds, path)

@@ -7,8 +7,15 @@ import numpy as np
 import pytest
 
 from oracles import train_mlp_per_array
-from prectune.dataset import Dataset, Sample, build_dataset, make_sample, reference_output
-from prectune.kernels import gen_input_set
+from prectune.dataset import (
+    Dataset,
+    Sample,
+    build_dataset,
+    compute_error,
+    error_sample,
+    reference_output,
+)
+from prectune.kernels import gen_input_set, run_kernel
 from prectune.learn import (
     DTModel,
     InsufficientDataError,
@@ -265,7 +272,7 @@ class TestFlatBufferAdam:
         ds = build_dataset("fwt", n_samples=120, input_set=inp, seed_sample=2)
         ref = reference_output("fwt", inp)
         for cfg in [(5, 5), (9, 12), (30, 30), (1, 1), (52, 52)]:
-            ds.samples.append(make_sample("fwt", inp, cfg, ref))
+            ds.samples.append(error_sample(cfg, compute_error(run_kernel("fwt", inp, cfg), ref)))
         self.assert_matches_oracle(ds)
         self.assert_matches_oracle(ds, TrainConfig(learning_rate=0.01, epochs=20, batch_size=7, seed=3))
 

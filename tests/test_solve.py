@@ -376,6 +376,7 @@ class TestSmartTune:
         assert res.actual_error > 1e-10
         assert res.refinement_iterations == 1
         assert res.kernel_runs == 1
+        assert res.pre_refine_total_bits is None and res.pre_refine_error is None
 
     def test_model_infeasible_but_max_passes(self, saxpy_input):
         # the models promise nothing at round 1, yet the all-max config meets
@@ -389,10 +390,17 @@ class TestSmartTune:
         assert res.kernel_runs == base.kernel_runs
         assert res.refinement_iterations == 1
         assert res.samples_added == 0
+        # the descent started from the all-max run
+        max_err = compute_error(run_kernel("saxpy", saxpy_input, (6, 6, 6)),
+                                reference_output("saxpy", saxpy_input))
+        assert res.pre_refine_total_bits == 18
+        assert res.pre_refine_error == max_err
+        assert base.pre_refine_total_bits is None and base.pre_refine_error is None
         # smart_tune_plus does not walk the same descent a second time
         plus = smart_tune_plus("saxpy", saxpy_input, 1e-3, budget=5, nbit_min=4, nbit_max=6, dataset=ds)
         assert plus.solution == res.solution and plus.kernel_runs == res.kernel_runs
         assert plus.status == "max_descent"
+        assert plus.pre_refine_total_bits == 18 and plus.pre_refine_error == max_err
 
     def test_budget_exhausted_records_miss(self, saxpy_input):
         # the models promise 1e-35 everywhere; reality disagrees
@@ -442,6 +450,8 @@ class TestModelInfeasibleAtRoundOne:
         assert res.kernel_runs > 0
         assert res.feasible and res.actual_error <= self.TARGET
         assert res.status == "max_descent"
+        assert res.pre_refine_total_bits == 104
+        assert res.solution.total_bits <= res.pre_refine_total_bits
 
 
 class TestPlusRefine:
