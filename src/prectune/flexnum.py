@@ -25,11 +25,19 @@ the grid spacing becomes one, rint, scale back and test for overflow.
 A FormatBatch gives one width per row of an array's leading axis, all with
 11 exponent bits, so one call rounds the same value of many configs at
 once on the bit path.
+
+The bit-path constants are worked out once per format, not per call: a
+FlexFormat takes them at construction, as 0-d uint64 arrays (numpy
+scalars cost more per ufunc call), and a FormatBatch works out its
+columns, shaped to broadcast along an array's leading axis, once for each
+array rank it meets.  A call then pays for asarray, the bit ops and the
+NaN guard alone, which matters because kernels round a few hundred values
+per call.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -37,6 +45,21 @@ MANTISSA_MIN = 1
 MANTISSA_MAX = 52
 EXPONENT_MIN = 2
 EXPONENT_MAX = 11
+
+# dtype objects, not type names: a view or asarray resolves them faster
+_F64 = np.dtype(np.float64)
+_U64 = np.dtype(np.uint64)
+
+# Row m holds the constants of bit-pattern rounding to m mantissa bits: the
+# number d of dropped bits, the mask of the kept last bit (zero when nothing
+# is dropped), half an ulp of the target minus one, and the mask of the kept
+# bits.
+_BIT_TABLE = np.array(
+    [(d, int(d > 0), (1 << d >> 1) - (d > 0), -(1 << d) % 2**64) for d in range(MANTISSA_MAX, -1, -1)],
+    dtype=np.uint64,
+)
+# the same rows as 0-d arrays, which a FlexFormat takes at construction
+_BIT_ROWS = [tuple(np.array(c) for c in row) for row in _BIT_TABLE]
 
 
 @dataclass(frozen=True)
@@ -52,6 +75,8 @@ class FlexFormat:
 
     mantissa_bits: int
     exponent_bits: int = 11
+    # the bit path's row of _BIT_ROWS; None where the frexp path rounds
+    _bits: tuple | None = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self) -> None:
         if not MANTISSA_MIN <= self.mantissa_bits <= MANTISSA_MAX:
@@ -64,6 +89,8 @@ class FlexFormat:
                 f"exponent_bits must be in [{EXPONENT_MIN}, {EXPONENT_MAX}], "
                 f"got {self.exponent_bits}"
             )
+        if self.exponent_bits == EXPONENT_MAX:
+            object.__setattr__(self, "_bits", _BIT_ROWS[self.mantissa_bits])
 
     @property
     def emax(self) -> int:
@@ -85,41 +112,44 @@ BINARY64 = FlexFormat(52, 11)
 @dataclass(frozen=True, eq=False)
 class FormatBatch:
     """One format per row of a batch: row i of an array's leading axis is
-    rounded to FlexFormat(mantissa_bits[i], 11)."""
+    rounded to FlexFormat(mantissa_bits[i], 11).  mantissa_bits is a
+    read-only copy of the widths given."""
 
     mantissa_bits: np.ndarray
+    # array rank -> _BIT_TABLE's columns, shaped (B, 1, ..., 1) to that rank
+    _columns: dict = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self) -> None:
-        m = np.asarray(self.mantissa_bits, dtype=np.int64)
+        m = np.array(self.mantissa_bits, dtype=np.int64)
         if m.ndim != 1 or not m.size:
             raise ValueError(f"a format batch needs a 1-d array of widths, got shape {m.shape}")
         # the narrowest and widest rows stand for all of them
         FlexFormat(int(m.min()))
         FlexFormat(int(m.max()))
+        m.flags.writeable = False
         object.__setattr__(self, "mantissa_bits", m)
 
-
-# Row m holds the constants of bit-pattern rounding to m mantissa bits: the
-# number d of dropped bits, the mask of the kept last bit (zero when nothing
-# is dropped), half an ulp of the target minus one, and the mask of the kept
-# bits.
-_BIT_TABLE = np.array(
-    [(d, int(d > 0), (1 << d >> 1) - (d > 0), -(1 << d) % 2**64) for d in range(MANTISSA_MAX, -1, -1)],
-    dtype=np.uint64,
-)
-_BIT_ROWS = [tuple(row) for row in _BIT_TABLE]
+    def columns(self, ndim: int) -> tuple:
+        """The bit-path constants of every row, broadcastable against an
+        array of rank ndim whose leading axis is the batch."""
+        cols = self._columns.get(ndim)
+        if cols is None:
+            shape = (-1,) + (1,) * (ndim - 1)
+            cols = tuple(c.reshape(shape) for c in _BIT_TABLE[self.mantissa_bits].T)
+            self._columns[ndim] = cols
+        return cols
 
 
 def _round_bits(arr: np.ndarray, drop, lsb, half, keep) -> np.ndarray:
     """Bit-pattern rounding for 11 exponent bits, given one row of
     _BIT_TABLE or columns that broadcast against arr."""
-    bits = arr.view(np.uint64)
+    bits = arr.view(_U64)
     t = bits >> drop
     t &= lsb
     t += half
     t += bits
     t &= keep
-    out = t.view(np.float64)
+    out = t.view(_F64)
     np.copyto(out, arr, where=np.isnan(arr))
     return out
 
@@ -154,17 +184,15 @@ def round_to_format(x, fmt: FlexFormat | FormatBatch):
     for scalar input and a new ndarray otherwise.  A FormatBatch rounds
     each row of x's leading axis to its own format.
     """
-    arr = np.asarray(x, dtype=np.float64)
+    arr = np.asarray(x, dtype=_F64)
     scalar = arr.ndim == 0
     if scalar:
         arr = arr.reshape(1)
     if isinstance(fmt, FormatBatch):
-        m = fmt.mantissa_bits
-        if scalar or arr.shape[0] != len(m):
-            raise ValueError(f"{len(m)} formats for an array of shape {np.shape(x)}")
-        rows = _BIT_TABLE[m.reshape((-1,) + (1,) * (arr.ndim - 1))]
-        out = _round_bits(arr, *np.moveaxis(rows, -1, 0))
-    elif fmt.exponent_bits != BINARY64.exponent_bits:
+        if scalar or arr.shape[0] != fmt.mantissa_bits.size:
+            raise ValueError(f"{fmt.mantissa_bits.size} formats for an array of shape {np.shape(x)}")
+        out = _round_bits(arr, *fmt.columns(arr.ndim))
+    elif fmt._bits is None:
         out = _round_frexp(arr, fmt)
     elif fmt.mantissa_bits == MANTISSA_MAX:
         # the bits _round_bits gives at this width, for speed: a copy of
@@ -174,7 +202,7 @@ def round_to_format(x, fmt: FlexFormat | FormatBatch):
         # processor time, 2-vCPU VM)
         out = arr.copy()
     else:
-        out = _round_bits(arr, *_BIT_ROWS[fmt.mantissa_bits])
+        out = _round_bits(arr, *fmt._bits)
     return float(out[0]) if scalar else out
 
 

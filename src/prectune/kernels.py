@@ -175,15 +175,20 @@ def run_kernel(name: str, input_set: InputSet, config) -> np.ndarray:
 
     With one integer width per slot, returns the flattened output vector.
     A (B, n_var) array of configs runs as one batch and returns a
-    (B, n_out) array whose row i is the output of config i.  Widths live
-    in the global mantissa range.
+    (B, n_out) array whose row i is the output of config i.  Widths are
+    integers (integral floats such as 52.0 included) in the global
+    mantissa range.
     """
     desc = get_benchmark(name)
     if input_set.benchmark != name:
         raise ConfigError(
             f"input set was generated for {input_set.benchmark!r}, not {name!r}"
         )
-    cfg = np.asarray(config).astype(np.int64)
+    cfg = np.asarray(config)
+    kind = cfg.dtype.kind
+    if kind not in "iuf" or (kind == "f" and not (np.isfinite(cfg) & (cfg == np.round(cfg))).all()):
+        raise ConfigError(f"{name}: mantissa widths must be integers, got {config!r}")
+    cfg = cfg.astype(np.int64)
     widths = np.atleast_2d(cfg)
     if cfg.ndim > 2 or widths.shape[1] != desc.n_var or not widths.size:
         raise ConfigError(

@@ -18,6 +18,12 @@ re-running the kernel to keep only improvements that hold up.
 fptuning_baseline applies the same descent from the all-max config without
 any models, which is the reference point for run-count comparisons.
 
+A descent runs each config at most once: it keeps the error of every config
+run so far, seeded with the start's verified error and, after smart_tune,
+with its verify runs (TunedResult.measured), and its result carries the
+error measured when its config was accepted, with no closing re-run.
+Every kernel_runs therefore counts distinct runs actually made.
+
 Sum-of-widths ties everywhere resolve to the lexicographically smallest
 config, making every search path deterministic.
 """
@@ -26,7 +32,7 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -74,6 +80,9 @@ class TunedResult:
     # descent started from
     pre_refine_total_bits: int | None = None
     pre_refine_error: float | None = None
+    # config -> error of every verify and descent run this call made, so
+    # that a later descent never runs one of them again
+    measured: dict = field(default_factory=dict, repr=False)
 
 
 def build_problem(
@@ -221,16 +230,15 @@ def _assignment_floor(cfg, slot: int, edges, nbit_min: int) -> int:
     return floor
 
 
-def _descend(start, edges, nbit_min: int, is_feasible) -> tuple[tuple[int, ...], int, int]:
+def _descend(start, edges, nbit_min: int, is_feasible) -> tuple[tuple[int, ...], int]:
     """Slot-wise binary-search descent from a feasible config.
 
     Lowers one directly chosen slot at a time (cast results just follow),
     keeping only repairs that is_feasible approves.  Repeats passes until
-    a whole pass changes nothing.  Returns (config, probes, passes).  The
-    total width never increases."""
+    a whole pass changes nothing.  Returns (config, passes).  The total
+    width never increases."""
     cur = tuple(int(v) for v in start)
     free = free_dims(edges, len(cur))
-    probes = 0
     passes = 0
     while True:
         passes += 1
@@ -247,11 +255,7 @@ def _descend(start, edges, nbit_min: int, is_feasible) -> tuple[tuple[int, ...],
                 probe = list(cur)
                 probe[slot] = mid
                 repaired = _repair_down(probe, edges)
-                ok = False
-                if repaired is not None and min(repaired) >= nbit_min:
-                    probes += 1
-                    ok = is_feasible(repaired)
-                if ok:
+                if repaired is not None and min(repaired) >= nbit_min and is_feasible(repaired):
                     best = repaired
                     hi = mid
                 else:
@@ -260,7 +264,7 @@ def _descend(start, edges, nbit_min: int, is_feasible) -> tuple[tuple[int, ...],
                 cur = best
         if sum(cur) == start_total:
             break
-    return cur, probes, passes
+    return cur, passes
 
 
 # --- exact search over the models ----------------------------------------------
@@ -461,7 +465,7 @@ def solve_mp(problem: TuningProblem) -> Solution | None:
     # from the start
     start = complete_config(domain.hi, domain, edges)
     if start is not None and model_accepts(start):
-        greedy, _, _ = _descend(
+        greedy, _ = _descend(
             start, edges, floor_width,
             lambda cfg: domain.contains(cfg) and model_accepts(cfg),
         )
@@ -581,6 +585,7 @@ def smart_tune(
     regressor, classifier = models if models is not None else fit_models(dataset, train_cfg)
 
     cuts: set[tuple[int, ...]] = set()
+    measured: dict[tuple[int, ...], float] = {}
     samples_added = 0
     last_sol: Solution | None = None
     last_err = float("inf")
@@ -610,10 +615,11 @@ def smart_tune(
                 kernel_runs=kernel_runs,
                 wall_time=time.perf_counter() - t0,
                 status="model_infeasible",
+                measured=measured,
             )
         out = run_kernel(benchmark, input_set, sol.config)
         kernel_runs += 1
-        err = compute_error(out, ref)
+        err = measured[sol.config] = compute_error(out, ref)
         last_sol, last_err = sol, err
         if err <= target_error:
             return TunedResult(
@@ -625,6 +631,7 @@ def smart_tune(
                 kernel_runs=kernel_runs,
                 wall_time=time.perf_counter() - t0,
                 status="feasible",
+                measured=measured,
             )
         # miss: learn from it and never propose it again
         dataset.samples.append(error_sample(sol.config, err))
@@ -641,6 +648,7 @@ def smart_tune(
         kernel_runs=kernel_runs,
         wall_time=time.perf_counter() - t0,
         status="budget_exhausted",
+        measured=measured,
     )
 
 
@@ -654,18 +662,32 @@ def plus_refine(
     target_error: float,
     nbit_min: int = MANTISSA_MIN,
     ref: np.ndarray | None = None,
-) -> tuple[tuple[int, ...], int, int]:
+    errors: dict | None = None,
+) -> tuple[tuple[int, ...], float, int, int]:
     """Binary-search each slot of a feasible config downward, keeping only
-    kernel-verified improvements.  Returns (config, kernel_runs, passes).
-    The total width never increases and feasibility is preserved."""
+    kernel-verified improvements.  Returns (config, error, kernel_runs,
+    passes).  The total width never increases and feasibility is preserved.
+
+    errors maps configs already run, the start's among them when known, to
+    their measured errors; the call adds each run it makes to it.  No
+    config is run twice, and the returned error is the one measured when
+    the returned config was accepted (the start's is run at the end if it
+    was unknown and nothing was accepted), so kernel_runs counts the
+    distinct runs this call made."""
     edges = dependency_graph(benchmark)
     if ref is None:
         ref = reference_output(benchmark, input_set)
+    if errors is None:
+        errors = {}
+    known = len(errors)
 
-    def verified(cfg) -> bool:
-        return compute_error(run_kernel(benchmark, input_set, cfg), ref) <= target_error
+    def measured(cfg) -> float:
+        if cfg not in errors:
+            errors[cfg] = compute_error(run_kernel(benchmark, input_set, cfg), ref)
+        return errors[cfg]
 
-    return _descend(config, edges, nbit_min, verified)
+    cfg, passes = _descend(config, edges, nbit_min, lambda c: measured(c) <= target_error)
+    return cfg, measured(cfg), len(errors) - known, passes
 
 
 def _measured_solution(config, error: float) -> Solution:
@@ -694,6 +716,7 @@ def _descent_from_max(
     start = (nbit_max,) * n  # uniform widths always satisfy the edges
     out = run_kernel(benchmark, input_set, start)
     err = compute_error(out, ref)
+    measured = {start: err}
     if err > target_error:
         return TunedResult(
             solution=None,
@@ -704,21 +727,23 @@ def _descent_from_max(
             kernel_runs=1,
             wall_time=time.perf_counter() - t0,
             status="infeasible_at_max",
+            measured=measured,
         )
-    cfg, runs, passes = plus_refine(benchmark, input_set, start, target_error, nbit_min, ref)
-    final = run_kernel(benchmark, input_set, cfg)
-    final_err = compute_error(final, ref)
+    cfg, final_err, runs, passes = plus_refine(
+        benchmark, input_set, start, target_error, nbit_min, ref, measured
+    )
     return TunedResult(
         solution=_measured_solution(cfg, final_err),
         actual_error=final_err,
         feasible=final_err <= target_error,
         refinement_iterations=passes,
         samples_added=0,
-        kernel_runs=runs + 2,
+        kernel_runs=runs + 1,
         wall_time=time.perf_counter() - t0,
         status="feasible",
         pre_refine_total_bits=sum(start),
         pre_refine_error=err,
+        measured=measured,
     )
 
 
@@ -756,18 +781,17 @@ def smart_tune_plus(
     if not result.feasible or result.solution is None or result.status == "max_descent":
         return result
     nbit_min = kwargs.get("nbit_min", MANTISSA_MIN)
-    cfg, runs, _ = plus_refine(
-        benchmark, input_set, result.solution.config, target_error, nbit_min, ref
+    cfg, final_err, runs, _ = plus_refine(
+        benchmark, input_set, result.solution.config, target_error, nbit_min, ref,
+        result.measured,
     )
-    final = run_kernel(benchmark, input_set, cfg)
-    final_err = compute_error(final, ref)
     assert final_err <= target_error
     assert sum(cfg) <= result.solution.total_bits
     return replace(
         result,
         solution=_measured_solution(cfg, final_err),
         actual_error=final_err,
-        kernel_runs=result.kernel_runs + runs + 1,
+        kernel_runs=result.kernel_runs + runs,
         wall_time=time.perf_counter() - t0,
         pre_refine_total_bits=result.solution.total_bits,
         pre_refine_error=result.actual_error,

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -283,6 +284,18 @@ class TestBitPatternPath:
         assert round_to_format(-1.7e308, fmt) == -math.inf
         assert round_to_format(1.5 * 2.0**1023, fmt) == 1.5 * 2.0**1023
 
+    def test_cached_constants_leave_the_format_value_alone(self):
+        fmt = FlexFormat(7, 11)
+        assert fmt == FlexFormat(7) and hash(fmt) == hash(FlexFormat(7)) == hash((7, 11))
+        assert fmt != FlexFormat(8) and fmt != FlexFormat(7, 8)
+        assert len({FlexFormat(7), FlexFormat(7, 11), FlexFormat(8)}) == 2
+        assert repr(fmt) == "FlexFormat(mantissa_bits=7, exponent_bits=11)"
+        # a replaced format works out its own constants
+        x = np.linspace(0.1, 9.9, 50)
+        for new in (replace(fmt, mantissa_bits=3), replace(fmt, exponent_bits=5)):
+            with np.errstate(over="ignore"):
+                assert round_to_format(x, new).tobytes() == _round_frexp(x, new).tobytes()
+
     @pytest.mark.parametrize("mbits", [1, 30, 52])
     def test_result_never_aliases_input(self, mbits):
         x = np.linspace(0.5, 9.5, 16)
@@ -304,6 +317,34 @@ class TestFormatBatch:
         assert got.shape == x.shape
         for i, m in enumerate(widths):
             assert got[i].tobytes() == round_to_format(x[i], FlexFormat(int(m), 11)).tobytes()
+
+    def test_one_batch_serves_every_rank(self):
+        # a batch keeps broadcast columns per array rank: reusing one across
+        # ranks, in any order, gives the bits of a fresh batch each time
+        rng = np.random.default_rng(3)
+        widths = np.array([3, 52, 1, 17])
+        batch = FormatBatch(widths)
+        shapes = [(4,), (4, 9), (4, 2, 5), (4, 9), (4,)]
+        for shape in shapes:
+            x = rng.uniform(-50.0, 50.0, shape)
+            got = round_to_format(x, batch)
+            assert got.tobytes() == round_to_format(x, FormatBatch(widths)).tobytes()
+            for i, m in enumerate(widths):
+                assert _bits(got[i]) == _bits(round_to_format(x[i], FlexFormat(int(m))))
+
+    def test_widths_are_a_read_only_copy(self):
+        w = np.array([4, 5])
+        batch = FormatBatch(w)
+        x = np.full((2, 1), 1.7)
+        before = round_to_format(x, batch)
+        w[0] = 0  # out of range, had the batch kept the caller's array
+        assert batch.mantissa_bits.tolist() == [4, 5]
+        assert not batch.mantissa_bits.flags.writeable
+        with pytest.raises(ValueError):
+            batch.mantissa_bits[0] = 0
+        after = round_to_format(x, batch)
+        assert after.tobytes() == before.tobytes()
+        assert after[0, 0] == round_to_format(1.7, FlexFormat(4)) != 2.0
 
     def test_broadcast_input_gets_a_fresh_array(self):
         x = np.arange(1.0, 9.0)

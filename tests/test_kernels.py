@@ -187,6 +187,17 @@ class TestRunValidation:
         with pytest.raises(ConfigError):
             K.run_kernel("saxpy", inp, [52, 53, 52])
 
+    def test_non_integer_widths(self):
+        inp = K.gen_input_set("saxpy", SMALL_SHAPES["saxpy"])
+        for bad in ([20.9, 20, 20], [True, True, True], [52, 52, math.nan], [52, 52, math.inf],
+                    ["52", "52", "52"], [[52, 52, 52], [52, 20.5, 52]]):
+            with pytest.raises(ConfigError, match="integers"):
+                K.run_kernel("saxpy", inp, bad)
+        # integral values of any numeric type are widths all the same
+        want = K.run_kernel("saxpy", inp, [20, 52, 20])
+        for same in ([20.0, 52.0, 20.0], np.array([20, 52, 20], dtype=np.uint8)):
+            assert K.run_kernel("saxpy", inp, same).tobytes() == want.tobytes()
+
     def test_mismatched_input_set(self):
         inp = K.gen_input_set("saxpy", SMALL_SHAPES["saxpy"])
         with pytest.raises(ConfigError):

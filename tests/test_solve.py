@@ -11,9 +11,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from prectune import solve
 from prectune.dataset import Dataset, Sample, build_dataset, compute_error, log_error, reference_output
 from prectune.embed import DomainBox, nn_output_bounds
-from prectune.kernels import CAST, dependency_graph, gen_input_set, run_kernel
+from prectune.kernels import CAST, dependency_graph, gen_input_set, get_benchmark, run_kernel
 from prectune.learn import (
     DTModel,
     MLPModel,
@@ -459,22 +460,22 @@ class TestPlusRefine:
     def test_never_worse_and_stays_feasible(self, saxpy_input, target):
         start = (52, 52, 52)
         ref = reference_output("saxpy", saxpy_input)
-        cfg, runs, passes = plus_refine("saxpy", saxpy_input, start, target)
+        cfg, err, runs, passes = plus_refine("saxpy", saxpy_input, start, target)
         assert sum(cfg) <= sum(start)
         assert runs > 0 and passes >= 1
         assert dependency_consistent(cfg, dependency_graph("saxpy"))
-        assert compute_error(run_kernel("saxpy", saxpy_input, cfg), ref) <= target
+        assert compute_error(run_kernel("saxpy", saxpy_input, cfg), ref) == err <= target
 
     def test_actually_improves_from_max(self, saxpy_input):
-        cfg, _, _ = plus_refine("saxpy", saxpy_input, (52, 52, 52), 1e-2)
+        cfg, _, _, _ = plus_refine("saxpy", saxpy_input, (52, 52, 52), 1e-2)
         assert sum(cfg) < 156
 
     def test_respects_floor(self, saxpy_input):
-        cfg, _, _ = plus_refine("saxpy", saxpy_input, (52, 52, 52), 1e-2, nbit_min=9)
+        cfg, _, _, _ = plus_refine("saxpy", saxpy_input, (52, 52, 52), 1e-2, nbit_min=9)
         assert min(cfg) >= 9
 
     def test_infeasible_start_unchanged(self, saxpy_input):
-        cfg, runs, _ = plus_refine("saxpy", saxpy_input, (10, 10, 10), 1e-30)
+        cfg, _, runs, _ = plus_refine("saxpy", saxpy_input, (10, 10, 10), 1e-30)
         assert cfg == (10, 10, 10)
         assert runs > 0
 
@@ -519,6 +520,93 @@ class TestSmartTunePlus:
         )
         assert res.status == "model_infeasible"
         assert res.solution is None
+
+
+class TestHonestRunCounts:
+    """A call runs no config twice, and its kernel_runs is the number of runs
+    it made.  The reference runs go through the dataset module, so wrapping
+    solve.run_kernel sees every other run."""
+
+    DWT_SHAPE = {"n": 64}
+
+    @pytest.fixture
+    def made(self, monkeypatch):
+        made = []
+
+        def counted(benchmark, input_set, config):
+            made.append(tuple(int(w) for w in config))
+            return run_kernel(benchmark, input_set, config)
+
+        monkeypatch.setattr(solve, "run_kernel", counted)
+        return made
+
+    @pytest.fixture(scope="class")
+    def dwt_input(self):
+        return gen_input_set("dwt", self.DWT_SHAPE, seed=0)
+
+    @pytest.fixture(scope="class")
+    def dwt_dataset(self, dwt_input):
+        return build_dataset("dwt", n_samples=250, input_set=dwt_input, seed_sample=0)
+
+    @staticmethod
+    def assert_honest(made, kernel_runs):
+        assert made and len(set(made)) == len(made)
+        assert kernel_runs == len(made)
+
+    @pytest.mark.parametrize("name,target", [("saxpy", 1e-4), ("dwt", 1e-5)])
+    def test_baseline(self, made, saxpy_input, dwt_input, name, target):
+        inp = saxpy_input if name == "saxpy" else dwt_input
+        res = fptuning_baseline(name, inp, target)
+        assert res.feasible
+        self.assert_honest(made, res.kernel_runs)
+        assert res.measured.keys() == set(made)
+        assert res.actual_error == res.measured[res.solution.config]
+
+    @pytest.mark.parametrize("name", ["saxpy", "dwt"])
+    def test_plus_refine(self, made, saxpy_input, dwt_input, name):
+        inp = saxpy_input if name == "saxpy" else dwt_input
+        n = get_benchmark(name).n_var
+        ref = reference_output(name, inp)
+        # unknown start error: the start runs at most once, at the end
+        cfg, err, runs, _ = plus_refine(name, inp, (52,) * n, 1e-5)
+        self.assert_honest(made, runs)
+        assert err == compute_error(run_kernel(name, inp, cfg), ref)
+        # known errors are not run again, and the call adds its own runs
+        made.clear()
+        known = {(52,) * n: 0.0}
+        again = plus_refine(name, inp, (52,) * n, 1e-5, errors=known)
+        self.assert_honest(made, again[2])
+        assert again[:2] == (cfg, err)
+        assert known.keys() == set(made) | {(52,) * n}
+
+    def test_plus_refine_runs_an_unknown_start_once(self, made, saxpy_input):
+        cfg, err, runs, _ = plus_refine("saxpy", saxpy_input, (10, 10, 10), 1e-30)
+        assert cfg == (10, 10, 10) and made.count(cfg) == 1
+        self.assert_honest(made, runs)
+        assert err == compute_error(run_kernel("saxpy", saxpy_input, cfg),
+                                    reference_output("saxpy", saxpy_input))
+
+    def test_smart_tune_plus_feasible(self, made, saxpy_input, saxpy_dataset, dwt_input, dwt_dataset):
+        for name, inp, ds, target in (("saxpy", saxpy_input, saxpy_dataset, 1e-4),
+                                      ("dwt", dwt_input, dwt_dataset, 1e-5)):
+            made.clear()
+            res = smart_tune_plus(name, inp, target, budget=15, dataset=ds)
+            assert res.status == "feasible"
+            self.assert_honest(made, res.kernel_runs)
+            assert res.actual_error == res.measured[res.solution.config] <= target
+
+    def test_smart_tune_plus_max_descent(self, made, saxpy_input, dwt_input, dwt_dataset):
+        # the models promise nothing: flat mediocre errors on saxpy, a
+        # target no dataset config comes near on dwt
+        for name, inp, ds, target, box in (
+            ("saxpy", saxpy_input, flat_dataset(2.0), 1e-3, {"nbit_min": 4, "nbit_max": 6}),
+            ("dwt", dwt_input, dwt_dataset, 1e-300, {}),
+        ):
+            made.clear()
+            res = smart_tune_plus(name, inp, target, budget=5, dataset=ds, **box)
+            assert res.status == "max_descent"
+            self.assert_honest(made, res.kernel_runs)
+            assert res.actual_error == res.measured[res.solution.config] <= target
 
 
 class TestBruteForce:
