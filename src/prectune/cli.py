@@ -201,24 +201,12 @@ def make_run_config(args) -> RunConfig:
     values: dict = {}
     if getattr(args, "config", None):
         values.update(load_config_file(args.config))
-    flag_map = {
-        "benchmark": "benchmark",
-        "nbit_min": "nbit_min",
-        "nbit_max": "nbit_max",
-        "dataset_size": "dataset_size",
-        "budget": "budget",
-        "mode": "mode",
-        "seed_input": "seed_input",
-        "seed_sample": "seed_sample",
-        "seed_train": "seed_train",
-        "epochs": "epochs",
-        "batch_size": "batch_size",
-        "learning_rate": "learning_rate",
-        "max_depth": "max_depth",
-        "out": "out",
-    }
-    for attr, key in flag_map.items():
-        flag = getattr(args, attr, None)
+    flags = (
+        "benchmark", "nbit_min", "nbit_max", "dataset_size", "budget", "mode", "seed_input",
+        "seed_sample", "seed_train", "epochs", "batch_size", "learning_rate", "max_depth", "out",
+    )
+    for key in flags:
+        flag = getattr(args, key, None)
         if flag is not None:
             values[key] = flag
     if getattr(args, "target", None):

@@ -1,18 +1,27 @@
-"""Bounding model output over boxes of width configs.
+"""Bounding the learned models over boxes of width configs.
 
-The search works on axis-aligned integer boxes.  For the regressor,
-interval bound propagation pushes the box through the network layer by
-layer (splitting each weight matrix into its positive and negative parts);
-the result is a sound overapproximation of the attainable outputs, and for
-a single-point box it degenerates to the exact forward pass.  For the
-classifier the box is walked down the tree, clipping coordinates at each
-split; the set of reachable leaves is exact, so the returned status is
-exact too.
+The search works on axis-aligned integer boxes, and this module holds all
+of its reasoning about what the models can do inside one.
+
+For the regressor, nn_bound_info gives a sound upper bound on the output
+over a box.  A forward interval pass (each weight matrix split into its
+positive and negative parts) collects every layer's pre-activation range.
+When that cannot settle the box, tighten_pre narrows the hidden ranges
+layer by layer, and the output is rewritten backward to one linear
+function of the input.  Both use one backward rewrite, backward_upper, in
+the style of CROWN (Zhang et al., NeurIPS 2018): each ReLU that can go
+either way is replaced by its chord from above or by zero or the identity
+from below, whichever keeps an upper bound valid, and a lower bound is the
+upper bound of the negated rows.  At a single point everything collapses
+to the forward pass.
+
+For the classifier, dt_label_boxes walks the box down the tree, clipping
+coordinates at each split; the leaf boxes it returns partition the box
+exactly by label.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,11 +41,6 @@ class DomainBox:
             if a > b:
                 raise ValueError(f"empty box: lo {self.lo} hi {self.hi}")
 
-    @staticmethod
-    def singleton(config) -> "DomainBox":
-        t = tuple(int(v) for v in config)
-        return DomainBox(t, t)
-
     @property
     def n_dims(self) -> int:
         return len(self.lo)
@@ -47,12 +51,6 @@ class DomainBox:
     def contains(self, config) -> bool:
         return all(a <= int(v) <= b for a, v, b in zip(self.lo, config, self.hi))
 
-    def volume(self) -> int:
-        v = 1
-        for a, b in zip(self.lo, self.hi):
-            v *= b - a + 1
-        return v
-
     def with_dim(self, d: int, lo: int, hi: int) -> "DomainBox":
         new_lo = list(self.lo)
         new_hi = list(self.hi)
@@ -61,63 +59,145 @@ class DomainBox:
         return DomainBox(tuple(new_lo), tuple(new_hi))
 
 
-@dataclass(frozen=True)
-class OutputInterval:
-    lo: float
-    hi: float
+# --- regressor ------------------------------------------------------------------
 
 
-class BoxStatus(enum.Enum):
-    ALL_ZERO = "all_zero"
-    ALL_ONE = "all_one"
-    MIXED = "mixed"
+def split_weights(model: MLPModel) -> list[tuple[np.ndarray, np.ndarray]]:
+    return [(np.maximum(w, 0.0), np.minimum(w, 0.0)) for w in model.weights]
 
 
-def nn_output_bounds(model: MLPModel, box: DomainBox) -> OutputInterval:
-    if box.is_singleton():
-        v = float(model.forward(np.array(box.lo, dtype=np.float64))[0])
-        return OutputInterval(v, v)
+def relu_relaxation(z_lo: np.ndarray, z_hi: np.ndarray):
+    """Per-unit pieces of the linear ReLU relaxation over [z_lo, z_hi]:
+    live mask, upper chord slope and its constant, and the {0,1} lower
+    slope.  Stable units get slope 1 and no constant."""
+    dead = z_hi <= 0.0
+    crossing = ~dead & (z_lo < 0.0)
+    span = np.where(z_hi - z_lo > 0.0, z_hi - z_lo, 1.0)
+    chord = np.where(crossing, z_hi / span, 1.0)
+    chord_c = np.where(crossing, chord * (-z_lo), 0.0)
+    alpha = np.where(crossing, (z_hi >= -z_lo).astype(np.float64), 1.0)
+    return ~dead, chord, chord_c, alpha
+
+
+def backward_upper(c, d, relax, weights, biases, lo, hi):
+    """Upper bounds over the input box [lo, hi] of the columns of
+    c.T @ relu(z) + d, where z is the pre-activation of hidden layer
+    len(relax) - 1 and relax holds the relaxations of hidden layers
+    0..len(relax) - 1.  Returns (bounds, input coefficients).
+
+    Walking down one layer, from above relu(z) <= chord*(z - z_lo) and
+    from below relu(z) >= alpha*z with alpha in {0, 1}: a positive
+    coefficient takes the chord, a negative one the lower line."""
+    for k in range(len(relax) - 1, -1, -1):
+        live, chord, chord_c, alpha = relax[k]
+        d = d + np.maximum(c, 0.0).T @ chord_c
+        c = c * np.where(c > 0.0, chord[:, None], alpha[:, None]) * live[:, None]
+        d = d + biases[k] @ c
+        c = weights[k] @ c
+    return np.maximum(c, 0.0).T @ hi + np.minimum(c, 0.0).T @ lo + d, c
+
+
+def tighten_pre(pre, weights, biases, lo, hi) -> list:
+    """Replace the interval pre-activation ranges of hidden layers
+    1..len(pre)-1 with the intersection of the interval range and a
+    backward rewrite to the input, layer by layer so later rewrites reuse
+    earlier tightenings.  Layer 0 is affine in the box, so its interval
+    range is already exact.  Returns the relaxation of every hidden layer,
+    each computed once its range is final."""
+    relax = [relu_relaxation(*pre[0])]
+    for l in range(1, len(pre)):
+        w, b = weights[l], biases[l]
+        # rows [w, -w]: the upper bounds of the negated rows are the
+        # negated lower bounds
+        up, _ = backward_upper(np.hstack([w, -w]), np.concatenate([b, -b]), relax, weights, biases, lo, hi)
+        z_lo, z_hi = pre[l]
+        n = w.shape[1]
+        pre[l] = (np.maximum(z_lo, -up[n:]), np.minimum(z_hi, up[:n]))
+        relax.append(relu_relaxation(*pre[l]))
+    return relax
+
+
+def nn_bound_info(
+    model: MLPModel,
+    box: DomainBox,
+    splits: list[tuple[np.ndarray, np.ndarray]] | None = None,
+    good_enough: float | None = None,
+) -> tuple[float, np.ndarray | None]:
+    """(upper bound, per-dim slack) for the regressor over the box.
+
+    Neither the interval pass nor the backward rewrite dominates the other
+    on every box, so the smaller of the two is returned.  The slack vector
+    |c| * width measures how much each input dimension contributes to the
+    backward bound, which makes a good branching guide.  It is None when
+    an interval bound already lands below good_enough and the backward
+    work is skipped.
+
+    splits may carry the precomputed split_weights of the same model."""
     lo = model.normalize(np.array(box.lo, dtype=np.float64))
     hi = model.normalize(np.array(box.hi, dtype=np.float64))
-    last = len(model.weights) - 1
-    for l, (w, b) in enumerate(zip(model.weights, model.biases)):
-        w_pos = np.maximum(w, 0.0)
-        w_neg = np.minimum(w, 0.0)
-        z_lo = lo @ w_pos + hi @ w_neg + b
-        z_hi = hi @ w_pos + lo @ w_neg + b
-        if l == last:
-            lo, hi = z_lo, z_hi
-        else:
-            lo = np.maximum(z_lo, 0.0)
-            hi = np.maximum(z_hi, 0.0)
-    return OutputInterval(float(lo[0]), float(hi[0]))
+    weights, biases = model.weights, model.biases
+    if splits is None:
+        splits = split_weights(model)
+    last = len(weights) - 1
+
+    pre: list[tuple[np.ndarray, np.ndarray]] = []
+    a_lo, a_hi = lo, hi
+    for l in range(last):
+        w_pos, w_neg = splits[l]
+        b = biases[l]
+        z_lo = a_lo @ w_pos + a_hi @ w_neg + b
+        z_hi = a_hi @ w_pos + a_lo @ w_neg + b
+        pre.append((z_lo, z_hi))
+        a_lo = np.maximum(z_lo, 0.0)
+        a_hi = np.maximum(z_hi, 0.0)
+
+    w_pos, w_neg = splits[last]
+    interval_hi = float((a_hi @ w_pos + a_lo @ w_neg + biases[last])[0])
+    if good_enough is not None and interval_hi < good_enough:
+        return interval_hi, None
+
+    if last >= 2 and not box.is_singleton():
+        relax = tighten_pre(pre, weights, biases, lo, hi)
+        t_lo, t_hi = pre[last - 1]
+        tightened_hi = float(
+            (np.maximum(t_hi, 0.0) @ w_pos + np.maximum(t_lo, 0.0) @ w_neg + biases[last])[0]
+        )
+        interval_hi = min(interval_hi, tightened_hi)
+        if good_enough is not None and interval_hi < good_enough:
+            return interval_hi, None
+    else:
+        relax = [relu_relaxation(*p) for p in pre]
+
+    up, c = backward_upper(weights[last], biases[last], relax, weights, biases, lo, hi)
+    return min(float(up[0]), interval_hi), np.abs(c[:, 0]) * (hi - lo)
 
 
-def dt_box_status(model: DTModel, box: DomainBox) -> BoxStatus:
-    labels: set[int] = set()
+# --- classifier -----------------------------------------------------------------
 
-    def walk(node: dict, lo: list[int], hi: list[int]) -> None:
-        if len(labels) == 2:
-            return
+
+def dt_label_boxes(model: DTModel, domain: DomainBox, label: int) -> list[DomainBox]:
+    """Disjoint boxes covering exactly the domain points the tree maps to
+    the given label, in deterministic tree order."""
+    out: list[DomainBox] = []
+    lo = list(domain.lo)
+    hi = list(domain.hi)
+
+    def walk(node: dict) -> None:
         if "leaf" in node:
-            labels.add(int(node["leaf"]))
+            if node["leaf"] == label:
+                out.append(DomainBox(tuple(lo), tuple(hi)))
             return
-        f = node["feature"]
-        t = node["threshold"]
+        f, t = node["feature"], node["threshold"]
         if lo[f] <= t:
-            clipped = hi[f]
-            hi[f] = min(hi[f], t)
-            walk(node["left"], lo, hi)
-            hi[f] = clipped
+            keep = hi[f]
+            hi[f] = min(keep, t)
+            walk(node["left"])
+            hi[f] = keep
         if hi[f] > t:
-            clipped = lo[f]
-            lo[f] = max(lo[f], t + 1)
-            walk(node["right"], lo, hi)
-            lo[f] = clipped
+            keep = lo[f]
+            lo[f] = max(keep, t + 1)
+            walk(node["right"])
+            lo[f] = keep
 
-    walk(model.root, list(box.lo), list(box.hi))
-    if labels == {0}:
-        return BoxStatus.ALL_ZERO
-    if labels == {1}:
-        return BoxStatus.ALL_ONE
-    return BoxStatus.MIXED
+    walk(model.root)
+    return out

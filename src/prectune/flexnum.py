@@ -70,7 +70,9 @@ class FlexFormat:
     significand carries mantissa_bits + 1 bits of precision for normals.
     The exponent field follows IEEE conventions: the all-ones code is
     reserved, bias is 2**(exponent_bits-1) - 1, and values below the
-    smallest normal are represented on the fixed subnormal grid.
+    smallest normal are represented on the fixed subnormal grid.  Both
+    widths must be Python or numpy integers, not bools, and are kept as
+    Python ints.
     """
 
     mantissa_bits: int
@@ -79,6 +81,12 @@ class FlexFormat:
     _bits: tuple | None = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self) -> None:
+        for name in ("mantissa_bits", "exponent_bits"):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {v!r}")
+            # a Python int: numpy's unsigned ones wrap when negated
+            object.__setattr__(self, name, int(v))
         if not MANTISSA_MIN <= self.mantissa_bits <= MANTISSA_MAX:
             raise ValueError(
                 f"mantissa_bits must be in [{MANTISSA_MIN}, {MANTISSA_MAX}], "
@@ -113,16 +121,19 @@ BINARY64 = FlexFormat(52, 11)
 class FormatBatch:
     """One format per row of a batch: row i of an array's leading axis is
     rounded to FlexFormat(mantissa_bits[i], 11).  mantissa_bits is a
-    read-only copy of the widths given."""
+    read-only copy of the widths given, which must have an integer dtype."""
 
     mantissa_bits: np.ndarray
     # array rank -> _BIT_TABLE's columns, shaped (B, 1, ..., 1) to that rank
     _columns: dict = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self) -> None:
-        m = np.array(self.mantissa_bits, dtype=np.int64)
+        m = np.array(self.mantissa_bits)
         if m.ndim != 1 or not m.size:
             raise ValueError(f"a format batch needs a 1-d array of widths, got shape {m.shape}")
+        if m.dtype.kind not in "iu":
+            raise ValueError(f"a format batch needs integer widths, got dtype {m.dtype}")
+        m = m.astype(np.int64)
         # the narrowest and widest rows stand for all of them
         FlexFormat(int(m.min()))
         FlexFormat(int(m.max()))

@@ -118,12 +118,6 @@ def _grads(weights, biases, x, y):
     return diff, g_w, g_b
 
 
-def _loss_and_grads(weights, biases, x, y):
-    """Mean squared error and its gradients for one batch."""
-    diff, g_w, g_b = _grads(weights, biases, x, y)
-    return float(np.mean(diff**2)), g_w, g_b
-
-
 class _Adam:
     def __init__(self, shapes, cfg: TrainConfig):
         self.cfg = cfg

@@ -2,13 +2,14 @@
 
 solve_mp finds the cheapest per-slot width config that the learned models
 predict to satisfy the error target, by depth-first branch and bound over
-integer boxes.  The classifier's acceptable region is decomposed into its
-decision-tree leaf boxes up front, so class-1 space is never entered; a
-box is then discarded when dependency propagation empties it, when its
-cheapest corner cannot beat the incumbent, or when the regressor's upper
-bound over the box stays below the required log error.  Acceptance at a
-point is exact model inference, so the search returns exactly what brute
-enumeration of consistent configs against the models would.
+integer boxes.  It searches the classifier's class-0 leaf boxes only
+(embed.dt_label_boxes) and discards a box when dependency propagation
+empties it, when its cheapest corner cannot beat the incumbent, or when
+the regressor's upper bound over it (embed.nn_bound_info) stays below the
+required log error.  Acceptance at a point is exact model inference, so
+the search returns exactly what brute enumeration of consistent configs
+against the models would.  Cast results are recomputed in one place,
+settle_casts.
 
 smart_tune wraps the solver in a verify-retrain loop: each proposed config
 is actually run; a miss becomes a new training sample and an excluded
@@ -37,7 +38,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .dataset import Dataset, build_dataset, compute_error, error_sample, log_error, reference_output
-from .embed import DomainBox
+from .embed import DomainBox, dt_label_boxes, nn_bound_info, split_weights
 from .flexnum import MANTISSA_MAX, MANTISSA_MIN
 from .kernels import CAST, InputSet, dependency_graph, get_benchmark, run_kernel
 from .learn import DTModel, MLPModel, TrainConfig, classify, predict_logerr, train_classifier, train_regressor
@@ -168,41 +169,11 @@ def propagate_box(box: DomainBox, edges) -> DomainBox | None:
     return DomainBox(tuple(lo), tuple(hi))
 
 
-def complete_config(seed_values, box: DomainBox, edges) -> tuple[int, ...] | None:
-    """Cheapest dependency-consistent config at least seed_values, inside
-    the box, or None.  Assignment targets are raised and cast results
-    recomputed until stable; values only move up, so this terminates."""
-    cfg = [int(v) for v in seed_values]
-    for _ in range(len(cfg) * len(edges) + 1):
-        changed = False
-        for e in edges:
-            d = e.destination
-            if e.kind == CAST:
-                m = min(cfg[s] for s in e.sources)
-                if cfg[d] != m:
-                    cfg[d] = m
-                    changed = True
-            else:
-                s = e.sources[0]
-                if cfg[s] > cfg[d]:
-                    cfg[d] = cfg[s]
-                    changed = True
-        if not changed:
-            break
-    out = tuple(cfg)
-    if not dependency_consistent(out, edges) or not box.contains(out):
-        return None
-    return out
-
-
-def cheapest_completion(box: DomainBox, edges) -> tuple[int, ...] | None:
-    return complete_config(box.lo, box, edges)
-
-
-def _repair_down(config: list[int], edges) -> tuple[int, ...] | None:
-    """Recompute cast results after a slot was lowered; reject the repair
-    if any assignment or cast constraint cannot be restored this way."""
-    cfg = list(config)
+def settle_casts(cfg: list[int], edges) -> bool:
+    """Recompute cast results in place until stable; True if any changed.
+    Cast chains are at most len(cfg) long, so len(cfg) + 1 passes settle
+    them; a caller's consistency check catches anything left unsettled."""
+    moved = False
     for _ in range(len(cfg) + 1):
         changed = False
         for e in edges:
@@ -213,6 +184,34 @@ def _repair_down(config: list[int], edges) -> tuple[int, ...] | None:
                     changed = True
         if not changed:
             break
+        moved = True
+    return moved
+
+
+def complete_config(seed_values, box: DomainBox, edges) -> tuple[int, ...] | None:
+    """Cheapest dependency-consistent config at least seed_values, inside
+    the box, or None.  Assignment targets are raised and cast results
+    recomputed in turn until stable."""
+    cfg = [int(v) for v in seed_values]
+    for _ in range(len(cfg) * len(edges) + 1):
+        changed = settle_casts(cfg, edges)
+        for e in edges:
+            if e.kind != CAST and cfg[e.sources[0]] > cfg[e.destination]:
+                cfg[e.destination] = cfg[e.sources[0]]
+                changed = True
+        if not changed:
+            break
+    out = tuple(cfg)
+    if not dependency_consistent(out, edges) or not box.contains(out):
+        return None
+    return out
+
+
+def _repair_down(config: list[int], edges) -> tuple[int, ...] | None:
+    """Recompute cast results after a slot was lowered; reject the repair
+    if any assignment or cast constraint cannot be restored this way."""
+    cfg = list(config)
+    settle_casts(cfg, edges)
     out = tuple(cfg)
     return out if dependency_consistent(out, edges) else None
 
@@ -270,169 +269,6 @@ def _descend(start, edges, nbit_min: int, is_feasible) -> tuple[tuple[int, ...],
 # --- exact search over the models ----------------------------------------------
 
 
-def _split_weights(model: MLPModel) -> list[tuple[np.ndarray, np.ndarray]]:
-    return [(np.maximum(w, 0.0), np.minimum(w, 0.0)) for w in model.weights]
-
-
-def _relu_relaxation(z_lo: np.ndarray, z_hi: np.ndarray):
-    """Per-unit pieces of the linear ReLU relaxation over [z_lo, z_hi]:
-    live mask, upper chord slope and its constant, and the {0,1} lower
-    slope.  Stable units get slope 1 and no constant."""
-    dead = z_hi <= 0.0
-    crossing = ~dead & (z_lo < 0.0)
-    span = np.where(z_hi - z_lo > 0.0, z_hi - z_lo, 1.0)
-    chord = np.where(crossing, z_hi / span, 1.0)
-    chord_c = np.where(crossing, chord * (-z_lo), 0.0)
-    alpha = np.where(crossing, (z_hi >= -z_lo).astype(np.float64), 1.0)
-    return ~dead, chord, chord_c, alpha
-
-
-def _tighten_pre(pre, weights, biases, lo, hi, last: int) -> None:
-    """Replace the interval pre-activation ranges of hidden layers 1..last-1
-    with the intersection of the interval range and a backward rewrite to
-    the input, layer by layer so later rewrites reuse earlier tightenings.
-    Layer 0 is affine in the box, so its interval range is already exact."""
-    for l in range(1, last):
-        cu = weights[l].copy()
-        du = biases[l].copy()
-        cl = weights[l].copy()
-        dl = biases[l].copy()
-        for k in range(l - 1, -1, -1):
-            live, chord, chord_c, alpha = _relu_relaxation(*pre[k])
-            du = du + np.maximum(cu, 0.0).T @ chord_c
-            cu = cu * np.where(cu > 0.0, chord[:, None], alpha[:, None]) * live[:, None]
-            dl = dl + np.minimum(cl, 0.0).T @ chord_c
-            cl = cl * np.where(cl < 0.0, chord[:, None], alpha[:, None]) * live[:, None]
-            du = du + biases[k] @ cu
-            cu = weights[k] @ cu
-            dl = dl + biases[k] @ cl
-            cl = weights[k] @ cl
-        z_hi_t = np.maximum(cu, 0.0).T @ hi + np.minimum(cu, 0.0).T @ lo + du
-        z_lo_t = np.maximum(cl, 0.0).T @ lo + np.minimum(cl, 0.0).T @ hi + dl
-        z_lo, z_hi = pre[l]
-        pre[l] = (np.maximum(z_lo, z_lo_t), np.minimum(z_hi, z_hi_t))
-
-
-def _nn_bound_info(
-    model: MLPModel,
-    box: DomainBox,
-    splits: list[tuple[np.ndarray, np.ndarray]] | None = None,
-    good_enough: float | None = None,
-) -> tuple[float, np.ndarray | None]:
-    """(upper bound, per-dim slack) for the regressor over the box.
-
-    A forward interval pass collects pre-activation ranges; when that alone
-    cannot settle the box, the hidden ranges are tightened by per-layer
-    backward rewrites and the output is rewritten backward as one linear
-    function of the input.  Each ReLU that can go either way is replaced by
-    its chord from above (for positive coefficients) or by zero/identity
-    from below (for negative ones), whichever keeps the bound valid.
-    Neither relaxation dominates plain interval propagation on every box,
-    so the smaller of the two is returned.  At a single point everything
-    collapses to the forward pass.
-
-    The slack vector |c| * width measures how much each input dimension
-    contributes to the backward bound, which makes a good branching guide.
-    It is None when the forward interval already lands below good_enough
-    and the backward work is skipped.
-
-    splits may carry the precomputed sign-split weights of the same model."""
-    lo = model.normalize(np.array(box.lo, dtype=np.float64))
-    hi = model.normalize(np.array(box.hi, dtype=np.float64))
-    weights, biases = model.weights, model.biases
-    if splits is None:
-        splits = _split_weights(model)
-    last = len(weights) - 1
-
-    pre: list[tuple[np.ndarray, np.ndarray]] = []
-    a_lo, a_hi = lo, hi
-    for l in range(last):
-        w_pos, w_neg = splits[l]
-        b = biases[l]
-        z_lo = a_lo @ w_pos + a_hi @ w_neg + b
-        z_hi = a_hi @ w_pos + a_lo @ w_neg + b
-        pre.append((z_lo, z_hi))
-        a_lo = np.maximum(z_lo, 0.0)
-        a_hi = np.maximum(z_hi, 0.0)
-
-    w_pos, w_neg = splits[last]
-    interval_hi = float((a_hi @ w_pos + a_lo @ w_neg + biases[last])[0])
-    if good_enough is not None and interval_hi < good_enough:
-        return interval_hi, None
-
-    if last >= 2 and not box.is_singleton():
-        _tighten_pre(pre, weights, biases, lo, hi, last)
-        t_lo, t_hi = pre[last - 1]
-        tightened_hi = float(
-            (np.maximum(t_hi, 0.0) @ w_pos + np.maximum(t_lo, 0.0) @ w_neg + biases[last])[0]
-        )
-        interval_hi = min(interval_hi, tightened_hi)
-        if good_enough is not None and interval_hi < good_enough:
-            return interval_hi, None
-
-    c = weights[last][:, 0].copy()
-    d = float(biases[last][0])
-    for l in range(last - 1, -1, -1):
-        z_lo, z_hi = pre[l]
-        scale = np.ones_like(c)
-        dead = z_hi <= 0.0
-        crossing = ~dead & (z_lo < 0.0)
-        scale[dead] = 0.0
-        if np.any(crossing):
-            span = np.where(z_hi - z_lo > 0.0, z_hi - z_lo, 1.0)
-            chord = z_hi / span
-            pos = crossing & (c > 0.0)
-            neg = crossing & (c < 0.0)
-            # from above relu(z) <= chord*(z - z_lo); from below
-            # relu(z) >= alpha*z with alpha in {0, 1}
-            scale[pos] = chord[pos]
-            d += float(np.sum(c[pos] * chord[pos] * (-z_lo[pos])))
-            alpha = (z_hi >= -z_lo).astype(np.float64)
-            scale[neg] = alpha[neg]
-        c = c * scale
-        d += float(c @ biases[l])
-        c = weights[l] @ c
-    backward = float(np.sum(np.maximum(c, 0.0) * hi + np.minimum(c, 0.0) * lo) + d)
-    return min(backward, interval_hi), np.abs(c) * (hi - lo)
-
-
-def _nn_upper_bound(
-    model: MLPModel,
-    box: DomainBox,
-    splits: list[tuple[np.ndarray, np.ndarray]] | None = None,
-    good_enough: float | None = None,
-) -> float:
-    return _nn_bound_info(model, box, splits, good_enough)[0]
-
-
-def _dt_label_boxes(model: DTModel, domain: DomainBox, label: int) -> list[DomainBox]:
-    """Disjoint boxes covering exactly the domain points the tree maps to
-    the given label, in deterministic tree order."""
-    out: list[DomainBox] = []
-    lo = list(domain.lo)
-    hi = list(domain.hi)
-
-    def walk(node: dict) -> None:
-        if "leaf" in node:
-            if node["leaf"] == label:
-                out.append(DomainBox(tuple(lo), tuple(hi)))
-            return
-        f, t = node["feature"], node["threshold"]
-        if lo[f] <= t:
-            keep = hi[f]
-            hi[f] = min(keep, t)
-            walk(node["left"])
-            hi[f] = keep
-        if hi[f] > t:
-            keep = lo[f]
-            lo[f] = max(keep, t + 1)
-            walk(node["right"])
-            lo[f] = keep
-
-    walk(model.root)
-    return out
-
-
 def solve_mp(problem: TuningProblem) -> Solution | None:
     """Minimum-total-width config accepted by both models, or None."""
     edges = problem.edges
@@ -471,7 +307,7 @@ def solve_mp(problem: TuningProblem) -> Solution | None:
         )
         best_cfg, best_sum = greedy, sum(greedy)
 
-    splits = _split_weights(reg)
+    splits = split_weights(reg)
     prune_at = log_target - EPS_BOUND
 
     def visit(box: DomainBox) -> None:
@@ -484,10 +320,10 @@ def solve_mp(problem: TuningProblem) -> Solution | None:
             # point of the box
             if s_lo > best_sum or (s_lo == best_sum and box.lo >= best_cfg):
                 return
-        bound, slack = _nn_bound_info(reg, box, splits, prune_at)
+        bound, slack = nn_bound_info(reg, box, splits, prune_at)
         if bound < prune_at:
             return
-        cand = cheapest_completion(box, edges)
+        cand = complete_config(box.lo, box, edges)
         if cand is not None and model_accepts(cand):
             # every consistent config in the box is pointwise >= cand, so
             # none can be cheaper or lexicographically earlier: take it
@@ -510,7 +346,7 @@ def solve_mp(problem: TuningProblem) -> Solution | None:
     # the classifier's acceptable region is exactly a union of leaf boxes;
     # searching them cheapest-first removes class-1 space wholesale and
     # lets the cost prune bite early
-    leaf_boxes = _dt_label_boxes(clf, domain, 0)
+    leaf_boxes = dt_label_boxes(clf, domain, 0)
     leaf_boxes.sort(key=lambda b: (sum(b.lo), b.lo))
     for leaf_box in leaf_boxes:
         visit(leaf_box)
@@ -831,18 +667,7 @@ def brute_force_optimum(
         cfg = [nbit_min] * n
         for d, v in zip(free, values):
             cfg[d] = v
-        changed = True
-        guard = 0
-        while changed:
-            changed = False
-            guard += 1
-            assert guard <= n + 1
-            for e in edges:
-                if e.kind == CAST:
-                    m = min(cfg[s] for s in e.sources)
-                    if cfg[e.destination] != m:
-                        cfg[e.destination] = m
-                        changed = True
+        settle_casts(cfg, edges)
         return tuple(cfg)
 
     for values in itertools.product(range(nbit_min, nbit_max + 1), repeat=len(free)):

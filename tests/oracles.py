@@ -346,3 +346,34 @@ def samples_per_config(run, configs, ref):
         log_err = float(np.clip(-np.log10(max(error, 1e-40)), -40.0, 40.0))
         rows.append((tuple(int(b) for b in cfg), error, log_err, int(error > 0.9)))
     return rows
+
+
+def _normalized(model, widths):
+    return (np.asarray(widths, dtype=np.float64) - model.input_lo) / max(model.input_hi - model.input_lo, 1.0)
+
+
+def interval_ranges(model, lo, hi):
+    """Plain interval bound propagation of the box [lo, hi] (raw widths)
+    through the regressor: the (lo, hi) pre-activation range of every
+    layer, the output's last."""
+    a_lo, a_hi = _normalized(model, lo), _normalized(model, hi)
+    ranges = []
+    for w, b in zip(model.weights, model.biases):
+        w_pos, w_neg = np.maximum(w, 0.0), np.minimum(w, 0.0)
+        z_lo = a_lo @ w_pos + a_hi @ w_neg + b
+        z_hi = a_hi @ w_pos + a_lo @ w_neg + b
+        ranges.append((z_lo, z_hi))
+        a_lo, a_hi = np.maximum(z_lo, 0.0), np.maximum(z_hi, 0.0)
+    return ranges
+
+
+def pre_activations(model, points):
+    """The pre-activations of every layer at each row of points (raw
+    widths), one (n_points, units) array per layer."""
+    a = _normalized(model, points)
+    out = []
+    for w, b in zip(model.weights, model.biases):
+        z = a @ w + b
+        out.append(z)
+        a = np.maximum(z, 0.0)
+    return out

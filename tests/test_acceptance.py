@@ -23,7 +23,7 @@ import pytest
 from oracles import grid_positive
 from prectune.cli import main as cli_main, target_slug
 from prectune.dataset import build_dataset, compute_error, reference_output
-from prectune.embed import BoxStatus, DomainBox, dt_box_status, nn_output_bounds
+from prectune.embed import DomainBox, dt_label_boxes, nn_bound_info
 from prectune.flexnum import FlexFormat, flex_op, round_to_format
 from prectune.kernels import dependency_graph, gen_input_set, run_kernel
 from prectune.learn import (
@@ -254,14 +254,13 @@ class TestC07EmbeddingSoundness:
             lo = rng.integers(1, 53, 3)
             hi = np.array([rng.integers(l, 53) for l in lo])
             box = DomainBox(tuple(int(v) for v in lo), tuple(int(v) for v in hi))
-            bounds = nn_output_bounds(reg, box)
+            upper, _ = nn_bound_info(reg, box)
             pts = np.column_stack(
                 [rng.integers(l, h + 1, 20) for l, h in zip(lo, hi)]
             ).astype(np.float64)
             preds = predict_logerr(reg, pts)
-            # tiny slack only for summation-order noise at the interval ends
-            violations += int(np.count_nonzero(preds > bounds.hi + 1e-9))
-            violations += int(np.count_nonzero(preds < bounds.lo - 1e-9))
+            # tiny slack only for summation-order noise at the bound
+            violations += int(np.count_nonzero(preds > upper + 1e-9))
         assert violations == 0
 
     def test_c07_dt_status_agrees_at_singletons(self, models_1k):
@@ -271,9 +270,10 @@ class TestC07EmbeddingSoundness:
         for _ in range(10_000):
             cfg = tuple(int(v) for v in rng.integers(1, 53, 3))
             box = DomainBox(cfg, cfg)
-            status = dt_box_status(clf, box)
-            want = BoxStatus.ALL_ONE if classify(clf, cfg) == 1 else BoxStatus.ALL_ZERO
-            mismatches += status is not want
+            label = classify(clf, cfg)
+            # a single point is one box of its own label and none of the other
+            mismatches += dt_label_boxes(clf, box, label) != [box]
+            mismatches += dt_label_boxes(clf, box, 1 - label) != []
         assert mismatches == 0
 
 

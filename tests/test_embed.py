@@ -1,18 +1,21 @@
-"""Box bounds: soundness, exactness on points, monotonicity."""
+"""Box bounds: soundness of the regressor bound and the tightened hidden
+ranges, exactness on points, and the tree's label boxes."""
 
+import enum
 import itertools
 
 import numpy as np
 import pytest
 
+from oracles import interval_ranges, pre_activations
 from prectune.dataset import build_dataset
-from prectune.embed import BoxStatus, DomainBox, OutputInterval, dt_box_status, nn_output_bounds
+from prectune.embed import DomainBox, dt_label_boxes, nn_bound_info, tighten_pre
+from prectune.kernels import gen_input_set
 from prectune.learn import (
     DTModel,
     MLPModel,
     TrainConfig,
     classify,
-    predict_logerr,
     train_classifier,
     train_regressor,
 )
@@ -50,79 +53,91 @@ class TestDomainBox:
         assert not box.is_singleton()
         assert box.contains((2, 4))
         assert not box.contains((2, 5))
-        assert box.volume() == 3
-        assert DomainBox.singleton((7, 9)).is_singleton()
+        assert DomainBox((7, 9), (7, 9)).is_singleton()
         narrowed = box.with_dim(0, 2, 2)
         assert narrowed == DomainBox((2, 4), (2, 4))
         assert box == DomainBox((1, 4), (3, 4))  # original untouched
 
 
+@pytest.fixture(scope="module", params=["saxpy", "dwt"])
+def deep_models(request):
+    bench = request.param
+    inp = gen_input_set(bench, {"n": 128}, seed=0)
+    ds = build_dataset(bench, n_samples=300, input_set=inp, seed_sample=0)
+    return train_regressor(ds, TrainConfig(epochs=30))
+
+
+ABS_NET = MLPModel(
+    # f(x) = relu(x) + relu(-x) = |x| with identity normalization
+    weights=[np.array([[1.0, -1.0]]), np.array([[1.0], [1.0]])],
+    biases=[np.zeros(2), np.zeros(1)],
+    input_lo=0.0,
+    input_hi=1.0,
+)
+
+
 class TestNNBounds:
     def test_hand_absolute_value_network(self):
-        # f(x) = relu(x) + relu(-x) = |x| with identity normalization
-        model = MLPModel(
-            weights=[np.array([[1.0, -1.0]]), np.array([[1.0], [1.0]])],
-            biases=[np.zeros(2), np.zeros(1)],
-            input_lo=0.0,
-            input_hi=1.0,
-        )
-        # one-dim box [-1, 2] in normalized space
+        # one-dim box [-1, 2] in normalized space: the exact range is
+        # [0, 2]; interval arithmetic loses the coupling between the two
+        # relu branches and reaches 3, while the two chords sum to a line
+        # whose maximum over the box is the exact 2
         box = DomainBox((-1,), (2,))
-        iv = nn_output_bounds(model, box)
-        # exact range is [0, 2]; interval arithmetic loses the coupling
-        # between the two relu branches and returns [0, 3]
-        assert iv == OutputInterval(0.0, 3.0)
+        lo, hi = interval_ranges(ABS_NET, box.lo, box.hi)[-1]
+        assert (lo[0], hi[0]) == (0.0, 3.0)
+        assert nn_bound_info(ABS_NET, box)[0] == pytest.approx(2.0, abs=1e-12)
 
     def test_hand_singleton_is_exact(self):
-        model = MLPModel(
-            weights=[np.array([[1.0, -1.0]]), np.array([[1.0], [1.0]])],
-            biases=[np.zeros(2), np.zeros(1)],
-            input_lo=0.0,
-            input_hi=1.0,
-        )
-        iv = nn_output_bounds(model, DomainBox((-3,), (-3,)))
-        assert iv.lo == iv.hi == 3.0
-
-    def test_lo_never_exceeds_hi(self, fwt_models):
-        reg, _ = fwt_models
-        rng = np.random.default_rng(1)
-        for _ in range(300):
-            iv = nn_output_bounds(reg, random_box(rng, 2))
-            assert iv.lo <= iv.hi
-
-    def test_singleton_matches_forward_exactly(self, fwt_models):
-        reg, _ = fwt_models
-        rng = np.random.default_rng(2)
-        for _ in range(200):
-            cfg = rng.integers(1, 53, 2)
-            iv = nn_output_bounds(reg, DomainBox.singleton(cfg))
-            exact = predict_logerr(reg, cfg)
-            assert iv.lo == exact and iv.hi == exact
+        assert nn_bound_info(ABS_NET, DomainBox((-3,), (-3,)))[0] == 3.0
 
     def test_monte_carlo_containment(self, fwt_models):
         reg, _ = fwt_models
         rng = np.random.default_rng(3)
         for _ in range(50):
             box = random_box(rng, 2)
-            iv = nn_output_bounds(reg, box)
+            ub, _ = nn_bound_info(reg, box)
             outs = reg.forward(sample_in_box(rng, box, 200).astype(float))
-            assert np.all(outs >= iv.lo - 1e-12)
-            assert np.all(outs <= iv.hi + 1e-12)
+            assert np.all(outs <= ub + 1e-12)
 
-    def test_monotone_under_shrinking(self, fwt_models):
-        reg, _ = fwt_models
-        rng = np.random.default_rng(4)
-        for _ in range(100):
-            box = random_box(rng, 2)
-            d = int(rng.integers(0, 2))
-            lo_d, hi_d = box.lo[d], box.hi[d]
-            if lo_d == hi_d:
-                continue
-            inner = box.with_dim(d, lo_d + 1, hi_d)
-            outer_iv = nn_output_bounds(reg, box)
-            inner_iv = nn_output_bounds(reg, inner)
-            assert inner_iv.lo >= outer_iv.lo - 1e-12
-            assert inner_iv.hi <= outer_iv.hi + 1e-12
+
+class TestTightenedRanges:
+    def test_contain_sampled_pre_activations(self, deep_models):
+        # the solver bounds the output through these ranges, so both ends
+        # of every hidden layer must hold at sampled points
+        reg = deep_models
+        n_in = reg.weights[0].shape[0]
+        rng = np.random.default_rng(8)
+        narrowed_lo = narrowed_hi = 0
+        for _ in range(150):
+            box = random_box(rng, n_in)
+            pre = interval_ranges(reg, box.lo, box.hi)[:-1]
+            before = list(pre)
+            lo_in, hi_in = reg.normalize(np.array(box.lo)), reg.normalize(np.array(box.hi))
+            tighten_pre(pre, reg.weights, reg.biases, lo_in, hi_in)
+            zs = pre_activations(reg, sample_in_box(rng, box, 200))[:-1]
+            assert len(pre) == len(zs) == len(reg.weights) - 1
+            for (lo, hi), (lo0, hi0), z in zip(pre, before, zs):
+                assert np.all(z >= lo - 1e-12) and np.all(z <= hi + 1e-12)
+                assert np.all(lo >= lo0) and np.all(hi <= hi0)
+                narrowed_lo += int(np.count_nonzero(lo > lo0))
+                narrowed_hi += int(np.count_nonzero(hi < hi0))
+        # the backward rewrite must actually tighten, at both ends
+        assert narrowed_lo > 0 and narrowed_hi > 0
+
+
+class BoxStatus(enum.Enum):
+    ALL_ZERO = "all_zero"
+    ALL_ONE = "all_one"
+    MIXED = "mixed"
+
+
+def label_status(model: DTModel, box: DomainBox) -> BoxStatus:
+    """Which labels the box reaches, read off its label boxes."""
+    if not dt_label_boxes(model, box, 1):
+        return BoxStatus.ALL_ZERO
+    if not dt_label_boxes(model, box, 0):
+        return BoxStatus.ALL_ONE
+    return BoxStatus.MIXED
 
 
 HAND_TREE = DTModel(
@@ -156,7 +171,7 @@ class TestDTBoxStatus:
         ],
     )
     def test_hand_tree(self, lo, hi, expected):
-        assert dt_box_status(HAND_TREE, DomainBox(lo, hi)) == expected
+        assert label_status(HAND_TREE, DomainBox(lo, hi)) == expected
 
     def test_status_matches_exhaustive_labels(self, fwt_models):
         _, clf = fwt_models
@@ -171,7 +186,7 @@ class TestDTBoxStatus:
                     range(box.lo[0], box.hi[0] + 1), range(box.lo[1], box.hi[1] + 1)
                 )
             }
-            status = dt_box_status(clf, box)
+            status = label_status(clf, box)
             if labels == {0}:
                 assert status == BoxStatus.ALL_ZERO
             elif labels == {1}:
@@ -184,7 +199,7 @@ class TestDTBoxStatus:
         rng = np.random.default_rng(6)
         for _ in range(200):
             cfg = rng.integers(1, 53, 2)
-            status = dt_box_status(clf, DomainBox.singleton(cfg))
+            status = label_status(clf, DomainBox(tuple(cfg.tolist()), tuple(cfg.tolist())))
             expected = BoxStatus.ALL_ONE if classify(clf, cfg) else BoxStatus.ALL_ZERO
             assert status == expected
 
@@ -194,13 +209,13 @@ class TestDTBoxStatus:
         checked = 0
         for _ in range(300):
             box = random_box(rng, 2)
-            status = dt_box_status(clf, box)
+            status = label_status(clf, box)
             if status == BoxStatus.MIXED:
                 continue
             d = int(rng.integers(0, 2))
             if box.lo[d] == box.hi[d]:
                 continue
             inner = box.with_dim(d, box.lo[d] + 1, box.hi[d])
-            assert dt_box_status(clf, inner) == status
+            assert label_status(clf, inner) == status
             checked += 1
         assert checked > 20

@@ -42,6 +42,25 @@ class TestFormatValidation:
         with pytest.raises(ValueError):
             FlexFormat(4, 12)
 
+    @pytest.mark.parametrize(
+        "bad",
+        [True, np.bool_(True), 4.5, 4.0, np.float64(4.0), "4"],
+        ids=["bool", "numpy-bool", "fraction", "integral-float", "numpy-float", "str"],
+    )
+    def test_widths_must_be_integers(self, bad):
+        with pytest.raises(ValueError, match="must be an integer"):
+            FlexFormat(bad)
+        with pytest.raises(ValueError, match="must be an integer"):
+            FlexFormat(4, bad)
+
+    def test_numpy_integer_widths(self):
+        # stored as Python ints: a negated numpy unsigned width would wrap
+        f = FlexFormat(np.uint8(2), np.uint8(3))
+        assert type(f.mantissa_bits) is int and type(f.exponent_bits) is int
+        assert f == FlexFormat(2, 3) and f.max_value == 14.0
+        assert repr(FlexFormat(np.int64(7))) == repr(FlexFormat(7))
+        assert round_to_format(2.72, FlexFormat(np.int32(3))) == 2.75
+
     def test_params(self):
         f = FlexFormat(2, 3)
         assert f.emax == 3 and f.emin == -2
@@ -352,6 +371,23 @@ class TestFormatBatch:
         out = round_to_format(batch, FormatBatch(np.array([52, 52, 3])))
         out[:] = 0.0
         assert x.tolist() == list(np.arange(1.0, 9.0))
+
+    @pytest.mark.parametrize(
+        "widths",
+        [np.array([4.5, 5.9]), np.array([4.0, 5.0]), [4.0, 5.0], np.array([True, False])],
+        ids=["fractions", "integral-floats", "float-list", "bools"],
+    )
+    def test_widths_must_be_integers(self, widths):
+        with pytest.raises(ValueError, match="integer widths"):
+            FormatBatch(widths)
+
+    def test_integer_widths_of_any_kind(self):
+        x = np.full((2, 3), 2.72)
+        want = round_to_format(x, FormatBatch(np.array([3, 5])))
+        for widths in ([3, 5], np.array([3, 5], dtype=np.uint8), np.array([3, 5], dtype=np.int32)):
+            batch = FormatBatch(widths)
+            assert batch.mantissa_bits.dtype == np.int64
+            assert round_to_format(x, batch).tobytes() == want.tobytes()
 
     def test_bad_batches(self):
         with pytest.raises(ValueError):

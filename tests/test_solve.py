@@ -11,10 +11,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from oracles import interval_ranges
 from prectune import solve
 from prectune.dataset import Dataset, Sample, build_dataset, compute_error, log_error, reference_output
-from prectune.embed import DomainBox, nn_output_bounds
-from prectune.kernels import CAST, dependency_graph, gen_input_set, get_benchmark, run_kernel
+from prectune.embed import DomainBox, dt_label_boxes, nn_bound_info
+from prectune.kernels import CAST, DependencyEdge, dependency_graph, gen_input_set, get_benchmark, run_kernel
 from prectune.learn import (
     DTModel,
     MLPModel,
@@ -29,18 +30,16 @@ from prectune.solve import (
     BRUTE_FORCE_CAP,
     brute_force_optimum,
     build_problem,
-    cheapest_completion,
     complete_config,
     dependency_consistent,
     fptuning_baseline,
     free_dims,
     plus_refine,
     propagate_box,
+    settle_casts,
     smart_tune,
     smart_tune_plus,
     solve_mp,
-    _dt_label_boxes,
-    _nn_upper_bound,
 )
 
 SAXPY_SHAPE = {"n": 128}
@@ -148,6 +147,16 @@ class TestDependencyHelpers:
                 if dependency_consistent(cfg, edges):
                     assert tight is not None and tight.contains(cfg)
 
+    def test_settle_casts_reaches_fixpoint(self):
+        # the cast feeding slot 2 comes after the one reading it, so one
+        # pass over the edges is not enough
+        edges = (DependencyEdge(CAST, (2, 3), 4), DependencyEdge(CAST, (0, 1), 2))
+        cfg = [5, 7, 9, 9, 9]
+        assert settle_casts(cfg, edges) is True
+        assert cfg == [5, 7, 5, 9, 5] and dependency_consistent(cfg, edges)
+        assert settle_casts(cfg, edges) is False
+        assert cfg == [5, 7, 5, 9, 5]
+
     def test_complete_config_saxpy(self):
         edges = dependency_graph("saxpy")
         box = DomainBox((1, 1, 1), (52, 52, 52))
@@ -169,7 +178,7 @@ class TestDependencyHelpers:
             a = rng.integers(1, 10, 3)
             b = rng.integers(1, 10, 3)
             box = DomainBox(tuple(np.minimum(a, b).tolist()), tuple(np.maximum(a, b).tolist()))
-            cand = cheapest_completion(box, edges)
+            cand = complete_config(box.lo, box, edges)
             consistent = [
                 cfg
                 for cfg in itertools.product(*(range(l, h + 1) for l, h in zip(box.lo, box.hi)))
@@ -191,9 +200,9 @@ class TestNNUpperBound:
         w0 = np.array([[1.0, -1.0]])
         w1 = np.array([[1.0], [1.0]])
         model = MLPModel([w0, w1], [np.zeros(2), np.zeros(1)], 0.0, 1.0)
-        ub = _nn_upper_bound(model, DomainBox((-1,), (3,)))
+        ub, _ = nn_bound_info(model, DomainBox((-1,), (3,)))
         assert ub == pytest.approx(3.0, abs=1e-12)
-        assert nn_output_bounds(model, DomainBox((-1,), (3,))).hi == pytest.approx(4.0)
+        assert interval_ranges(model, (-1,), (3,))[-1][1][0] == pytest.approx(4.0)
 
     def test_sound_and_no_looser_than_interval(self, saxpy_models):
         reg, _ = saxpy_models
@@ -202,19 +211,19 @@ class TestNNUpperBound:
             a = rng.integers(1, 53, 3)
             b = rng.integers(1, 53, 3)
             box = DomainBox(tuple(np.minimum(a, b).tolist()), tuple(np.maximum(a, b).tolist()))
-            ub = _nn_upper_bound(reg, box)
+            ub, _ = nn_bound_info(reg, box)
             pts = np.column_stack(
                 [rng.integers(l, h + 1, 128) for l, h in zip(box.lo, box.hi)]
             ).astype(float)
             assert ub >= float(np.max(predict_logerr(reg, pts))) - 1e-9
-            assert ub <= nn_output_bounds(reg, box).hi + 1e-9
+            assert ub <= interval_ranges(reg, box.lo, box.hi)[-1][1][0] + 1e-9
 
     def test_singleton_matches_forward(self, saxpy_models):
         reg, _ = saxpy_models
         rng = np.random.default_rng(6)
         for _ in range(100):
             p = tuple(int(v) for v in rng.integers(1, 53, 3))
-            ub = _nn_upper_bound(reg, DomainBox(p, p))
+            ub, _ = nn_bound_info(reg, DomainBox(p, p))
             exact = predict_logerr(reg, np.array(p, dtype=float))
             assert ub == pytest.approx(exact, rel=1e-9, abs=1e-9)
 
@@ -229,21 +238,21 @@ class TestLeafBoxes:
         }
         clf = DTModel(root=root, n_inputs=2, max_depth=5)
         dom = DomainBox((1, 1), (10, 10))
-        assert _dt_label_boxes(clf, dom, 0) == [DomainBox((4, 1), (10, 5))]
-        assert _dt_label_boxes(clf, dom, 1) == [
+        assert dt_label_boxes(clf, dom, 0) == [DomainBox((4, 1), (10, 5))]
+        assert dt_label_boxes(clf, dom, 1) == [
             DomainBox((1, 1), (3, 10)),
             DomainBox((4, 6), (10, 10)),
         ]
         # a clipped domain drops unreachable subtrees
-        assert _dt_label_boxes(clf, DomainBox((5, 1), (10, 10)), 1) == [
+        assert dt_label_boxes(clf, DomainBox((5, 1), (10, 10)), 1) == [
             DomainBox((5, 6), (10, 10))
         ]
 
     def test_partitions_domain_exactly(self, saxpy_models):
         _, clf = saxpy_models
         dom = DomainBox((1, 1, 1), (12, 12, 12))
-        boxes0 = _dt_label_boxes(clf, dom, 0)
-        boxes1 = _dt_label_boxes(clf, dom, 1)
+        boxes0 = dt_label_boxes(clf, dom, 0)
+        boxes1 = dt_label_boxes(clf, dom, 1)
         for cfg in itertools.product(range(1, 13), repeat=3):
             hits0 = sum(b.contains(cfg) for b in boxes0)
             hits1 = sum(b.contains(cfg) for b in boxes1)
