@@ -4,10 +4,13 @@ Wires datasets, model training, tuning runs and the experiment protocols
 (dataset-size sweep, input-set transfer, hardware snapping, brute-force
 oracle) into reproducible jobs with persisted artifacts.
 
-Configuration comes from an optional flat key=value file plus flag
-overrides; flags win.  All randomness flows from three named seeds
-(input, sample, train) and every output file records them.  Output files
-are written atomically, and repeated runs with identical configuration
+Every run setting is declared once, as a RunConfig field; the config-file
+keys, the --flags and their parse types are derived from the fields.
+Settings come from an optional flat key=value file plus flag overrides;
+flags win.  All randomness flows from three named seeds (input, sample,
+train) and every output file records them.  Each run's input sets and
+datasets are built by run_input_set and run_dataset.  Output files are
+written atomically, and repeated runs with identical configuration
 produce byte-identical CSVs.
 
 Exit codes: 0 success, 1 at least one target infeasible, 2 usage,
@@ -20,27 +23,15 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
-from .dataset import (
-    DatasetFormatError,
-    build_dataset,
-    compute_error,
-    load_dataset,
-    reference_output,
-    save_dataset,
-)
+from .dataset import Dataset, build_dataset, compute_error, load_dataset, reference_output, save_dataset
 from .flexnum import MANTISSA_MAX, MANTISSA_MIN
-from .kernels import gen_input_set, list_benchmarks, run_kernel
-from .learn import (
-    TrainConfig,
-    eval_models,
-    save_classifier,
-    save_regressor,
-    split_dataset,
-)
+from .kernels import InputSet, gen_input_set, list_benchmarks, run_kernel
+from .learn import TrainConfig, eval_models, save_classifier, save_regressor, split_dataset
 from .solve import brute_force_optimum, fit_models, fptuning_baseline, smart_tune, smart_tune_plus
 
 EXIT_OK = 0
@@ -60,62 +51,58 @@ class UsageError(Exception):
 
 @dataclass
 class RunConfig:
-    benchmark: str = "saxpy"
-    shape: dict = field(default_factory=dict)
-    targets: tuple = DEFAULT_TARGETS
+    """One run's settings.  Each field is a config-file key and a --flag
+    (underscores become dashes), listed in field order by --help.  A scalar
+    field is parsed as the type of its default; its metadata holds its help
+    text, its choices and its least allowed value.  The list settings are
+    spelled as their metadata "key" and have parsers of their own."""
+
+    benchmark: str = field(
+        default="saxpy", metadata={"help": "benchmark name (comma list where supported)"}
+    )
+    targets: tuple = field(
+        default=DEFAULT_TARGETS,
+        metadata={"key": "target", "help": "error target, repeatable or comma list"},
+    )
     nbit_min: int = MANTISSA_MIN
     nbit_max: int = MANTISSA_MAX
-    dataset_size: int = 1000
-    budget: int = 100
-    mode: str = "smart_plus"
+    dataset_size: int = field(default=1000, metadata={"min": 1})
+    budget: int = field(default=100, metadata={"min": 0})
+    mode: str = field(default="smart_plus", metadata={"choices": MODES})
     seed_input: int = 0
     seed_sample: int = 0
     seed_train: int = 0
-    epochs: int = 100
-    batch_size: int = 32
-    learning_rate: float = 0.001
-    max_depth: int = 20
-    out: str = "runs"
+    epochs: int = field(default=TrainConfig.epochs, metadata={"min": 1})
+    batch_size: int = field(default=TrainConfig.batch_size, metadata={"min": 1})
+    learning_rate: float = TrainConfig.learning_rate
+    max_depth: int = field(default=TrainConfig.max_depth, metadata={"min": 0})
+    shape: dict = field(
+        default_factory=dict,
+        metadata={"key": "shape", "help": "input shape override, name=value"},
+    )
+    out: str = field(default="runs", metadata={"help": "output directory"})
 
     def train_config(self) -> TrainConfig:
         return TrainConfig(
-            learning_rate=self.learning_rate,
-            epochs=self.epochs,
-            batch_size=self.batch_size,
-            max_depth=self.max_depth,
             seed=self.seed_train,
+            **{f.name: getattr(self, f.name) for f in fields(TrainConfig) if f.name != "seed"},
         )
 
     def seed_line(self) -> str:
-        return (
-            f"# seed_input={self.seed_input} seed_sample={self.seed_sample}"
-            f" seed_train={self.seed_train}"
-        )
+        return "# " + " ".join(f"{k}={v}" for k, v in self.seed_fields().items())
 
     def seed_fields(self) -> dict:
-        return {
-            "seed_input": self.seed_input,
-            "seed_sample": self.seed_sample,
-            "seed_train": self.seed_train,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name.startswith("seed_")}
+
+
+# parse type of each scalar setting, in field order
+SCALAR_SETTINGS = {
+    f.name: type(f.default) for f in fields(RunConfig) if type(f.default) in (int, float, str)
+}
+_TYPE_WORDS = {int: "an integer", float: "a number"}
 
 
 # --- configuration loading ------------------------------------------------------
-
-_INT_KEYS = {
-    "nbit_min",
-    "nbit_max",
-    "dataset_size",
-    "budget",
-    "seed_input",
-    "seed_sample",
-    "seed_train",
-    "epochs",
-    "batch_size",
-    "max_depth",
-}
-_FLOAT_KEYS = {"learning_rate"}
-_STR_KEYS = {"benchmark", "mode", "out"}
 
 
 def parse_shape_items(items) -> dict:
@@ -174,18 +161,12 @@ def load_config_file(path: str) -> dict:
                 raise UsageError(f"{path}:{lineno}: expected key=value, got {line!r}")
             key = key.strip()
             value = value.strip()
-            if key in _INT_KEYS:
+            if key in SCALAR_SETTINGS:
+                kind = SCALAR_SETTINGS[key]
                 try:
-                    values[key] = int(value)
+                    values[key] = kind(value)
                 except ValueError:
-                    raise UsageError(f"{path}:{lineno}: {key} must be an integer") from None
-            elif key in _FLOAT_KEYS:
-                try:
-                    values[key] = float(value)
-                except ValueError:
-                    raise UsageError(f"{path}:{lineno}: {key} must be a number") from None
-            elif key in _STR_KEYS:
-                values[key] = value
+                    raise UsageError(f"{path}:{lineno}: {key} must be {_TYPE_WORDS[kind]}") from None
             elif key == "target":
                 values["targets"] = parse_targets(value)
             elif key == "shape":
@@ -201,11 +182,7 @@ def make_run_config(args) -> RunConfig:
     values: dict = {}
     if getattr(args, "config", None):
         values.update(load_config_file(args.config))
-    flags = (
-        "benchmark", "nbit_min", "nbit_max", "dataset_size", "budget", "mode", "seed_input",
-        "seed_sample", "seed_train", "epochs", "batch_size", "learning_rate", "max_depth", "out",
-    )
-    for key in flags:
+    for key in SCALAR_SETTINGS:
         flag = getattr(args, key, None)
         if flag is not None:
             values[key] = flag
@@ -214,9 +191,7 @@ def make_run_config(args) -> RunConfig:
             t for chunk in args.target for t in parse_targets(chunk)
         )
     if getattr(args, "shape", None):
-        shape = dict(values.get("shape", {}))
-        shape.update(parse_shape_items(args.shape))
-        values["shape"] = shape
+        values["shape"] = {**values.get("shape", {}), **parse_shape_items(args.shape)}
 
     cfg = RunConfig(**values)
     if not MANTISSA_MIN <= cfg.nbit_min <= cfg.nbit_max <= MANTISSA_MAX:
@@ -224,15 +199,14 @@ def make_run_config(args) -> RunConfig:
             f"nbit_min/nbit_max [{cfg.nbit_min}, {cfg.nbit_max}] outside"
             f" [{MANTISSA_MIN}, {MANTISSA_MAX}] or reversed"
         )
-    if cfg.mode not in MODES:
-        raise UsageError(f"mode {cfg.mode!r} not one of {', '.join(MODES)}")
-    if cfg.dataset_size < 1:
-        raise UsageError(f"dataset_size {cfg.dataset_size} must be >= 1")
-    if cfg.budget < 0:
-        raise UsageError(f"budget {cfg.budget} must be >= 0")
-    for t in cfg.targets:
-        if not t > 0.0:
-            raise UsageError(f"target {t!r} must be positive")
+    for f in fields(cfg):
+        value, meta = getattr(cfg, f.name), f.metadata
+        if "choices" in meta and value not in meta["choices"]:
+            raise UsageError(f"{f.name} {value!r} not one of {', '.join(meta['choices'])}")
+        if "min" in meta and value < meta["min"]:
+            raise UsageError(f"{f.name} {value} must be >= {meta['min']}")
+    if not (math.isfinite(cfg.learning_rate) and cfg.learning_rate > 0.0):
+        raise UsageError(f"learning_rate {cfg.learning_rate!r} must be finite and positive")
     return cfg
 
 
@@ -254,6 +228,38 @@ def single_benchmark(cfg: RunConfig) -> str:
     if len(names) != 1:
         raise UsageError("this command takes exactly one benchmark")
     return names[0]
+
+
+def run_input_set(cfg: RunConfig, bench: str, offset: int = 0) -> InputSet:
+    """The run's input set, or with an offset one of its siblings."""
+    return gen_input_set(bench, cfg.shape or None, cfg.seed_input + offset)
+
+
+def run_dataset(cfg: RunConfig, bench: str, input_set: InputSet) -> Dataset:
+    """A fresh dataset of cfg.dataset_size samples over the run's width box,
+    drawn with its sample seed and measured on input_set."""
+    return build_dataset(
+        bench,
+        n_samples=cfg.dataset_size,
+        nbit_lo=cfg.nbit_min,
+        nbit_hi=cfg.nbit_max,
+        seed_sample=cfg.seed_sample,
+        input_set=input_set,
+    )
+
+
+def load_run_dataset(path: str, bench: str, input_set: InputSet | None = None) -> Dataset:
+    """The dataset saved at path, refused unless it is for bench and, when
+    an input set is given, its errors were measured on that input set."""
+    ds = load_dataset(path)
+    if ds.benchmark != bench:
+        raise UsageError(f"dataset {path} is for {ds.benchmark!r}, not {bench!r}")
+    if input_set is not None:
+        for key, want in (("shape", input_set.shape), ("seed_input", input_set.seed)):
+            got = getattr(ds, key)
+            if got != want:
+                raise UsageError(f"dataset {path} has {key} {got}, the run has {want}")
+    return ds
 
 
 # --- output helpers -------------------------------------------------------------
@@ -295,15 +301,7 @@ def cmd_dataset(args) -> int:
     cfg = make_run_config(args)
     bench = single_benchmark(cfg)
     outdir = ensure_outdir(cfg)
-    ds = build_dataset(
-        bench,
-        n_samples=cfg.dataset_size,
-        nbit_lo=cfg.nbit_min,
-        nbit_hi=cfg.nbit_max,
-        shape=cfg.shape or None,
-        seed_input=cfg.seed_input,
-        seed_sample=cfg.seed_sample,
-    )
+    ds = run_dataset(cfg, bench, run_input_set(cfg, bench))
     path = os.path.join(outdir, f"{bench}_dataset.csv")
     save_dataset(ds, path)
     class1 = sum(s.class_label for s in ds.samples)
@@ -311,31 +309,14 @@ def cmd_dataset(args) -> int:
     return EXIT_OK
 
 
-def _load_or_build_dataset(cfg: RunConfig, bench: str, dataset_path, input_set=None):
-    if dataset_path:
-        ds = load_dataset(dataset_path)
-        if ds.benchmark != bench:
-            raise UsageError(
-                f"dataset {dataset_path} is for {ds.benchmark!r}, not {bench!r}"
-            )
-        return ds
-    return build_dataset(
-        bench,
-        n_samples=cfg.dataset_size,
-        nbit_lo=cfg.nbit_min,
-        nbit_hi=cfg.nbit_max,
-        shape=cfg.shape or None,
-        seed_input=cfg.seed_input,
-        seed_sample=cfg.seed_sample,
-        input_set=input_set,
-    )
-
-
 def cmd_train(args) -> int:
     cfg = make_run_config(args)
     bench = single_benchmark(cfg)
     outdir = ensure_outdir(cfg)
-    ds = _load_or_build_dataset(cfg, bench, args.dataset)
+    if args.dataset:
+        ds = load_run_dataset(args.dataset, bench)
+    else:
+        ds = run_dataset(cfg, bench, run_input_set(cfg, bench))
     tc = cfg.train_config()
 
     # quality is measured on a held-out split, the saved models use all data
@@ -387,14 +368,17 @@ def cmd_tune(args) -> int:
     cfg = make_run_config(args)
     bench = single_benchmark(cfg)
     outdir = ensure_outdir(cfg)
-    input_set = gen_input_set(bench, cfg.shape or None, cfg.seed_input)
+    input_set = run_input_set(cfg, bench)
 
     dataset = None
     models = None
     dataset_runs = 0
     if cfg.mode != "baseline":
-        dataset = _load_or_build_dataset(cfg, bench, args.dataset, input_set=input_set)
-        dataset_runs = 0 if args.dataset else len(dataset.samples)
+        if args.dataset:
+            dataset = load_run_dataset(args.dataset, bench, input_set)
+        else:
+            dataset = run_dataset(cfg, bench, input_set)
+            dataset_runs = len(dataset.samples)
         # every target starts from the same fit on the same dataset
         models = fit_models(dataset, cfg.train_config())
 
@@ -469,14 +453,8 @@ def cmd_sweep(args) -> int:
     for bench in benches:
         # one master draw; prefixes are nested, the tail is the fixed
         # held-out set shared by every size
-        master = build_dataset(
-            bench,
-            n_samples=sizes[-1] + hold_n,
-            nbit_lo=cfg.nbit_min,
-            nbit_hi=cfg.nbit_max,
-            shape=cfg.shape or None,
-            seed_input=cfg.seed_input,
-            seed_sample=cfg.seed_sample,
+        master = run_dataset(
+            replace(cfg, dataset_size=sizes[-1] + hold_n), bench, run_input_set(cfg, bench)
         )
         holdout = replace(master, samples=master.samples[sizes[-1]:])
         for size in sizes:
@@ -501,24 +479,13 @@ def cmd_transfer(args) -> int:
     if n_inputs < 2:
         raise UsageError(f"n_inputs {n_inputs} must be >= 2")
 
+    smart_cfg = replace(cfg, mode="smart")
+    base_cfg = replace(cfg, mode="baseline")
     rows = []
     for bench in benches:
-        input_sets = [
-            gen_input_set(bench, cfg.shape or None, cfg.seed_input + i)
-            for i in range(n_inputs)
-        ]
-        first = input_sets[0]
-        others = input_sets[1:]
+        first, *others = [run_input_set(cfg, bench, i) for i in range(n_inputs)]
         refs = [reference_output(bench, inp) for inp in others]
-        dataset = build_dataset(
-            bench,
-            n_samples=cfg.dataset_size,
-            nbit_lo=cfg.nbit_min,
-            nbit_hi=cfg.nbit_max,
-            shape=cfg.shape or None,
-            seed_sample=cfg.seed_sample,
-            input_set=first,
-        )
+        dataset = run_dataset(cfg, bench, first)
         models = fit_models(dataset, cfg.train_config())
 
         def violation_pct(result, target) -> float:
@@ -534,18 +501,8 @@ def cmd_transfer(args) -> int:
             return 100.0 * misses / len(others)
 
         for target in cfg.targets:
-            smart = smart_tune(
-                bench,
-                first,
-                target,
-                budget=cfg.budget,
-                nbit_min=cfg.nbit_min,
-                nbit_max=cfg.nbit_max,
-                dataset=dataset,
-                train_cfg=cfg.train_config(),
-                models=models,
-            )
-            base = fptuning_baseline(bench, first, target, cfg.nbit_min, cfg.nbit_max)
+            smart = _run_method(smart_cfg, bench, first, target, dataset, models)
+            base = _run_method(base_cfg, bench, first, target, None, None)
             pct_smart = violation_pct(smart, target)
             pct_base = violation_pct(base, target)
             rows.append(
@@ -569,8 +526,6 @@ def cmd_snap_hw(args) -> int:
         parse_int_list(args.formats, "formats") if args.formats else DEFAULT_HW_FORMATS
     )
     formats = tuple(sorted(set(formats)))
-    if not formats:
-        raise UsageError("format set is empty")
     for f in formats:
         if not MANTISSA_MIN <= f <= MANTISSA_MAX:
             raise UsageError(f"format width {f} outside [{MANTISSA_MIN}, {MANTISSA_MAX}]")
@@ -584,8 +539,17 @@ def cmd_snap_hw(args) -> int:
     for key in ("benchmark", "config", "target", "shape", "seed_input"):
         if key not in doc:
             raise UsageError(f"{args.result}: missing field {key!r}")
-    if doc["config"] is None:
+    config = doc["config"]
+    if config is None:
         raise UsageError(f"{args.result}: result has no config to snap")
+    # bools are ints to Python; JSON's true is no width
+    if not isinstance(config, list) or not all(
+        type(v) is int and MANTISSA_MIN <= v <= MANTISSA_MAX for v in config
+    ):
+        raise UsageError(
+            f"{args.result}: config {config!r} is not a list of integer widths"
+            f" in [{MANTISSA_MIN}, {MANTISSA_MAX}]"
+        )
 
     def snap_up(width: int) -> int:
         for f in formats:
@@ -594,7 +558,6 @@ def cmd_snap_hw(args) -> int:
         return formats[-1]
 
     bench = doc["benchmark"]
-    config = [int(v) for v in doc["config"]]
     snapped = [snap_up(v) for v in config]
     input_set = gen_input_set(bench, dict(doc["shape"]), int(doc["seed_input"]))
     ref = reference_output(bench, input_set)
@@ -613,8 +576,8 @@ def cmd_snap_hw(args) -> int:
             "formats": list(formats),
             "config": config,
             "snapped_config": snapped,
-            "total_bits": int(sum(config)),
-            "snapped_total_bits": int(sum(snapped)),
+            "total_bits": sum(config),
+            "snapped_total_bits": sum(snapped),
             "target": target,
             "actual_error": err,
             "feasible": feasible,
@@ -631,7 +594,7 @@ def cmd_oracle(args) -> int:
     cfg = make_run_config(args)
     bench = single_benchmark(cfg)
     outdir = ensure_outdir(cfg)
-    input_set = gen_input_set(bench, cfg.shape or None, cfg.seed_input)
+    input_set = run_input_set(cfg, bench)
     ref = reference_output(bench, input_set)
 
     rows = []
@@ -672,22 +635,16 @@ def cmd_oracle(args) -> int:
 
 def add_common_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="flat key=value config file")
-    sub.add_argument("--benchmark", help="benchmark name (comma list where supported)")
-    sub.add_argument("--target", action="append", help="error target, repeatable or comma list")
-    sub.add_argument("--nbit-min", dest="nbit_min", type=int)
-    sub.add_argument("--nbit-max", dest="nbit_max", type=int)
-    sub.add_argument("--dataset-size", dest="dataset_size", type=int)
-    sub.add_argument("--budget", type=int)
-    sub.add_argument("--mode", choices=MODES)
-    sub.add_argument("--seed-input", dest="seed_input", type=int)
-    sub.add_argument("--seed-sample", dest="seed_sample", type=int)
-    sub.add_argument("--seed-train", dest="seed_train", type=int)
-    sub.add_argument("--epochs", type=int)
-    sub.add_argument("--batch-size", dest="batch_size", type=int)
-    sub.add_argument("--learning-rate", dest="learning_rate", type=float)
-    sub.add_argument("--max-depth", dest="max_depth", type=int)
-    sub.add_argument("--shape", action="append", help="input shape override, name=value")
-    sub.add_argument("--out", help="output directory")
+    for f in fields(RunConfig):
+        if f.name in SCALAR_SETTINGS:
+            sub.add_argument(
+                "--" + f.name.replace("_", "-"),
+                type=SCALAR_SETTINGS[f.name],
+                help=f.metadata.get("help"),
+                choices=f.metadata.get("choices"),
+            )
+        else:
+            sub.add_argument("--" + f.metadata["key"], action="append", help=f.metadata["help"])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -740,10 +697,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (DatasetFormatError, OSError, ValueError) as exc:
+    except (UsageError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -166,6 +166,9 @@ def build_dataset(
 # benchmark identity, width box, seeds and input shape.
 
 
+_META_KEYS = ("benchmark", "nbit_lo", "nbit_hi", "seed_input", "seed_sample", "shape", "n_samples")
+
+
 def _sidecar(path) -> str:
     return str(path) + ".meta.json"
 
@@ -198,6 +201,9 @@ def load_dataset(path) -> Dataset:
         raise DatasetFormatError(f"{path}: missing sidecar {_sidecar(path)}")
     with open(_sidecar(path)) as fh:
         meta = json.load(fh)
+    for key in _META_KEYS:
+        if key not in meta:
+            raise DatasetFormatError(f"{path}: sidecar has no {key!r}")
     benchmark = meta["benchmark"]
     n = get_benchmark(benchmark).n_var
     samples: list[Sample] = []

@@ -153,11 +153,6 @@ def dependency_graph(name: str) -> tuple[DependencyEdge, ...]:
     return get_benchmark(name).edges
 
 
-def cast_destinations(name: str) -> frozenset[int]:
-    """Slots whose width is an equality function of other slots."""
-    return frozenset(e.destination for e in get_benchmark(name).edges if e.kind == CAST)
-
-
 def gen_input_set(name: str, shape: dict[str, int] | None = None, seed: int = 0) -> InputSet:
     desc = get_benchmark(name)
     merged = dict(desc.default_shape)
@@ -213,44 +208,6 @@ def run_kernel(name: str, input_set: InputSet, config) -> np.ndarray:
 
     out = _RUNNERS[name](input_set, rnd, load).reshape(batch, -1)
     return out if cfg.ndim == 2 else out[0]
-
-
-# --- input serialization ---------------------------------------------------
-
-
-def save_input_set(inp: InputSet, path) -> None:
-    """One value per line; the header carries benchmark, seed and shapes."""
-    shape_part = " ".join(f"{k}={v}" for k, v in sorted(inp.shape.items()))
-    layout = ",".join(
-        f"{name}:{'x'.join(str(d) for d in arr.shape) or '0'}"
-        for name, arr in inp.arrays.items()
-    )
-    lines = [f"# benchmark={inp.benchmark} seed={inp.seed} {shape_part} arrays={layout}"]
-    for arr in inp.arrays.values():
-        lines.extend(repr(float(v)) for v in np.asarray(arr, dtype=np.float64).ravel())
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def load_input_set(path) -> InputSet:
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    if not lines or not lines[0].startswith("# "):
-        raise ValueError(f"{path}: missing input set header")
-    fields = dict(part.split("=", 1) for part in lines[0][2:].split(" ") if "=" in part)
-    name = fields.pop("benchmark")
-    seed = int(fields.pop("seed"))
-    layout = fields.pop("arrays")
-    shape = {k: int(v) for k, v in fields.items()}
-    values = iter(lines[1:])
-    arrays: dict[str, np.ndarray] = {}
-    for part in layout.split(","):
-        arr_name, dims = part.split(":")
-        dims_t = tuple(int(d) for d in dims.split("x")) if dims != "0" else ()
-        count = int(np.prod(dims_t)) if dims_t else 1
-        flat = np.array([float(next(values)) for _ in range(count)])
-        arrays[arr_name] = flat.reshape(dims_t) if dims_t else flat[0]
-    return InputSet(benchmark=name, arrays=arrays, seed=seed, shape=shape)
 
 
 # --- fwt: in-place fast Walsh-Hadamard transform ----------------------------

@@ -33,12 +33,15 @@ class InsufficientDataError(ValueError):
     pass
 
 
+# Adam's moment decay rates and denominator guard
+BETA1 = 0.9
+BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     learning_rate: float = 0.001
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     epochs: int = 100
     batch_size: int = 32
     max_depth: int = 20
@@ -129,13 +132,13 @@ class _Adam:
         c = self.cfg
         self.t += 1
         for p, g, m, v in zip(params, grads, self.m, self.v):
-            m *= c.beta1
-            m += (1.0 - c.beta1) * g
-            v *= c.beta2
-            v += (1.0 - c.beta2) * g * g
-            m_hat = m / (1.0 - c.beta1**self.t)
-            v_hat = v / (1.0 - c.beta2**self.t)
-            p -= c.learning_rate * m_hat / (np.sqrt(v_hat) + c.adam_eps)
+            m *= BETA1
+            m += (1.0 - BETA1) * g
+            v *= BETA2
+            v += (1.0 - BETA2) * g * g
+            m_hat = m / (1.0 - BETA1**self.t)
+            v_hat = v / (1.0 - BETA2**self.t)
+            p -= c.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 def train_regressor(ds: Dataset, cfg: TrainConfig = TrainConfig()) -> MLPModel:

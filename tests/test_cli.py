@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import fields, replace
 
 import pytest
 
@@ -11,20 +12,42 @@ from prectune.cli import (
     EXIT_INFEASIBLE,
     EXIT_OK,
     EXIT_USAGE,
+    RunConfig,
+    UsageError,
+    build_parser,
     main,
+    make_run_config,
     parse_int_list,
     parse_shape_items,
     parse_targets,
     target_slug,
 )
 from prectune.dataset import load_dataset
-from prectune.learn import load_classifier, load_regressor
+from prectune.learn import TrainConfig, load_classifier, load_regressor
 
 FAST = ["--shape", "n=64", "--dataset-size", "150", "--budget", "15"]
 
 
 def run(*argv) -> int:
     return main(list(argv))
+
+
+def config_of(*argv) -> RunConfig:
+    return make_run_config(build_parser().parse_args(["dataset", *argv]))
+
+
+SCALAR_FIELDS = [f.name for f in fields(RunConfig) if type(f.default) in (int, float, str)]
+# a valid value other than the default for each scalar setting
+NON_DEFAULT = {
+    "benchmark": "fwt", "nbit_min": 2, "nbit_max": 30, "dataset_size": 7, "budget": 0,
+    "mode": "baseline", "seed_input": 4, "seed_sample": 5, "seed_train": 6, "epochs": 1,
+    "batch_size": 8, "learning_rate": 0.25, "max_depth": 0, "out": "elsewhere",
+}
+BAD_TRAINING = [
+    ("epochs", "0"), ("epochs", "-1"), ("batch_size", "0"), ("batch_size", "-5"),
+    ("learning_rate", "0"), ("learning_rate", "-0.001"), ("learning_rate", "nan"),
+    ("learning_rate", "inf"), ("max_depth", "-1"),
+]
 
 
 class TestHelpers:
@@ -116,6 +139,52 @@ class TestConfigFile:
         assert rc == EXIT_USAGE
 
 
+class TestSettings:
+    def test_every_scalar_setting_covered(self):
+        assert len(SCALAR_FIELDS) == 14
+        assert sorted(NON_DEFAULT) == sorted(SCALAR_FIELDS)
+
+    @pytest.mark.parametrize("key", SCALAR_FIELDS)
+    def test_flag_and_config_key_agree(self, tmp_path, key):
+        value = NON_DEFAULT[key]
+        path = tmp_path / "run.cfg"
+        path.write_text(f"{key} = {value}\n")
+        from_key = config_of("--config", str(path))
+        from_flag = config_of("--" + key.replace("_", "-"), str(value))
+        assert from_key == from_flag == replace(RunConfig(), **{key: value})
+        assert getattr(from_flag, key) != getattr(RunConfig(), key)
+        assert type(getattr(from_key, key)) is type(getattr(RunConfig(), key))
+
+    @pytest.mark.parametrize("key", ["benchmrk", "batch-size", "targets"])
+    def test_unknown_key_refused_by_name(self, tmp_path, key):
+        path = tmp_path / "run.cfg"
+        path.write_text(f"benchmark = saxpy\n{key} = 4\n")
+        with pytest.raises(UsageError, match=f"unknown config key '{key}'"):
+            config_of("--config", str(path))
+
+    @pytest.mark.parametrize("source", ["flag", "file"])
+    @pytest.mark.parametrize("key,value", BAD_TRAINING)
+    def test_training_setting_refused(self, tmp_path, capsys, source, key, value):
+        if source == "flag":
+            argv = ["--" + key.replace("_", "-"), value]
+        else:
+            (tmp_path / "run.cfg").write_text(f"{key} = {value}\n")
+            argv = ["--config", str(tmp_path / "run.cfg")]
+        out = tmp_path / "out"
+        assert run("tune", "--benchmark", "saxpy", *argv, "--out", str(out)) == EXIT_USAGE
+        assert f"error: {key} " in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_training_setting_bounds_accepted(self):
+        cfg = config_of("--epochs", "1", "--batch-size", "1", "--max-depth", "0",
+                        "--learning-rate", "1e-300")
+        assert (cfg.epochs, cfg.batch_size, cfg.max_depth, cfg.learning_rate) == (1, 1, 0, 1e-300)
+
+    def test_training_defaults_are_train_config_defaults(self):
+        tc = RunConfig(seed_train=3).train_config()
+        assert tc == TrainConfig(seed=3)
+
+
 class TestTrainCommand:
     def test_trains_and_saves(self, tmp_path):
         assert run("dataset", "--benchmark", "saxpy", "--dataset-size", "60",
@@ -202,6 +271,33 @@ class TestTuneCommand:
         assert rc == EXIT_OK
         doc = json.loads((tmp_path / "saxpy_smart_0.1.json").read_text())
         assert doc["dataset_runs"] == 0
+
+    @pytest.mark.parametrize("field,argv", [
+        ("shape", ["--shape", "n=128"]),
+        ("seed_input", ["--shape", "n=64", "--seed-input", "1"]),
+    ])
+    def test_prebuilt_dataset_from_other_input_set(self, tmp_path, capsys, field, argv):
+        # the dataset's errors were measured on the input set its sidecar names
+        assert run("dataset", "--benchmark", "saxpy", "--dataset-size", "30",
+                   "--shape", "n=64", "--out", str(tmp_path)) == EXIT_OK
+        rc = run("tune", "--benchmark", "saxpy", "--target", "1e-1", "--mode", "smart", *argv,
+                 "--dataset", str(tmp_path / "saxpy_dataset.csv"), "--out", str(tmp_path))
+        assert rc == EXIT_USAGE
+        assert f"has {field} " in capsys.readouterr().err
+        assert not (tmp_path / "saxpy_smart_0.1.json").exists()
+
+    def test_prebuilt_dataset_sidecar_missing_key(self, tmp_path, capsys):
+        assert run("dataset", "--benchmark", "saxpy", "--dataset-size", "30",
+                   "--shape", "n=64", "--out", str(tmp_path)) == EXIT_OK
+        sidecar = tmp_path / "saxpy_dataset.csv.meta.json"
+        meta = json.loads(sidecar.read_text())
+        del meta["nbit_lo"]
+        sidecar.write_text(json.dumps(meta))
+        rc = run("tune", "--benchmark", "saxpy", "--target", "1e-1", "--mode", "smart",
+                 "--shape", "n=64", "--dataset", str(tmp_path / "saxpy_dataset.csv"),
+                 "--out", str(tmp_path))
+        assert rc == EXIT_USAGE
+        assert "'nbit_lo'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("mode", ["smart", "smart_plus"])
     def test_targets_share_initial_fit(self, tmp_path, mode):
@@ -308,6 +404,16 @@ class TestSnapHwCommand:
         rc = run("snap-hw", "--result", str(tmp_path / "gone.json"),
                  "--out", str(tmp_path))
         assert rc == EXIT_USAGE
+
+    @pytest.mark.parametrize("config", [
+        [5.7, 9.9, 5.2], [True, 9, 5], [5, 9.0, 5], [0, 9, 5], [5, 53, 5], "5,9,5",
+    ], ids=["fractional", "bool", "float", "zero", "above-max", "string"])
+    def test_bad_widths_rejected(self, tmp_path, capsys, config):
+        result = self.make_result(tmp_path, config)
+        rc = run("snap-hw", "--result", str(result), "--out", str(tmp_path))
+        assert rc == EXIT_USAGE
+        assert "integer widths" in capsys.readouterr().err
+        assert not (tmp_path / "result_snapped.json").exists()
 
     def test_null_config_rejected(self, tmp_path):
         path = tmp_path / "result.json"

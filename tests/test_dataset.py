@@ -1,5 +1,6 @@
 """Sampling, error metric, dataset construction and serialization."""
 
+import json
 import math
 
 import numpy as np
@@ -272,6 +273,20 @@ class TestSerialization:
         path = tmp_path / "orphan.csv"
         path.write_text("w0,w1,w2,error,log_err,class\n")
         with pytest.raises(DatasetFormatError):
+            load_dataset(path)
+
+    @pytest.mark.parametrize(
+        "key", ["benchmark", "nbit_lo", "nbit_hi", "seed_input", "seed_sample", "shape", "n_samples"]
+    )
+    def test_sidecar_missing_key_named(self, tmp_path, key):
+        ds = build_dataset("saxpy", n_samples=3, shape={"n": 16})
+        path = tmp_path / "ds.csv"
+        save_dataset(ds, path)
+        sidecar = tmp_path / "ds.csv.meta.json"
+        meta = json.loads(sidecar.read_text())
+        del meta[key]
+        sidecar.write_text(json.dumps(meta))
+        with pytest.raises(DatasetFormatError, match=repr(key)):
             load_dataset(path)
 
     def test_bad_column_count_reports_line(self, tmp_path):

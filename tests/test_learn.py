@@ -17,6 +17,9 @@ from prectune.dataset import (
 )
 from prectune.kernels import gen_input_set, run_kernel
 from prectune.learn import (
+    ADAM_EPS,
+    BETA1,
+    BETA2,
     DTModel,
     InsufficientDataError,
     MLPModel,
@@ -134,11 +137,11 @@ class TestAdam:
         for t in (1, 2):
             g = 2.0 * ref
             opt.step([theta], [np.array([2.0 * theta[0]])])
-            m = cfg.beta1 * m + (1 - cfg.beta1) * g
-            v = cfg.beta2 * v + (1 - cfg.beta2) * g * g
-            m_hat = m / (1 - cfg.beta1**t)
-            v_hat = v / (1 - cfg.beta2**t)
-            ref = ref - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.adam_eps)
+            m = BETA1 * m + (1 - BETA1) * g
+            v = BETA2 * v + (1 - BETA2) * g * g
+            m_hat = m / (1 - BETA1**t)
+            v_hat = v / (1 - BETA2**t)
+            ref = ref - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
             states.append(theta[0])
             assert theta[0] == pytest.approx(ref, rel=0, abs=1e-15)
         # first step moves by almost exactly the learning rate
@@ -252,8 +255,8 @@ class TestFlatBufferAdam:
         keep = [s for s in ds.samples if s.class_label == 0]
         weights, biases = train_mlp_per_array(
             [s.config for s in keep], [s.log_err for s in keep], ds.nbit_lo, ds.nbit_hi,
-            learning_rate=cfg.learning_rate, beta1=cfg.beta1, beta2=cfg.beta2,
-            adam_eps=cfg.adam_eps, epochs=cfg.epochs, batch_size=cfg.batch_size, seed=cfg.seed,
+            learning_rate=cfg.learning_rate, beta1=BETA1, beta2=BETA2,
+            adam_eps=ADAM_EPS, epochs=cfg.epochs, batch_size=cfg.batch_size, seed=cfg.seed,
         )
         model = train_regressor(ds, cfg)
         assert len(model.weights) == len(weights) and len(model.biases) == len(biases)
