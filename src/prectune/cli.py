@@ -262,6 +262,12 @@ def load_run_dataset(path: str, bench: str, input_set: InputSet | None = None) -
     return ds
 
 
+def with_dataset_seeds(cfg: RunConfig, ds: Dataset) -> RunConfig:
+    """cfg with the input and sample seeds a loaded dataset was drawn with,
+    so that a run on it records the seeds of its data."""
+    return replace(cfg, seed_input=ds.seed_input, seed_sample=ds.seed_sample)
+
+
 # --- output helpers -------------------------------------------------------------
 
 
@@ -315,6 +321,7 @@ def cmd_train(args) -> int:
     outdir = ensure_outdir(cfg)
     if args.dataset:
         ds = load_run_dataset(args.dataset, bench)
+        cfg = with_dataset_seeds(cfg, ds)
     else:
         ds = run_dataset(cfg, bench, run_input_set(cfg, bench))
     tc = cfg.train_config()
@@ -376,6 +383,7 @@ def cmd_tune(args) -> int:
     if cfg.mode != "baseline":
         if args.dataset:
             dataset = load_run_dataset(args.dataset, bench, input_set)
+            cfg = with_dataset_seeds(cfg, dataset)
         else:
             dataset = run_dataset(cfg, bench, input_set)
             dataset_runs = len(dataset.samples)
@@ -413,6 +421,7 @@ def cmd_tune(args) -> int:
                 "status": result.status,
                 "iterations": result.refinement_iterations,
                 "samples_added": result.samples_added,
+                "adam_steps": result.adam_steps,
                 "kernel_runs": result.kernel_runs,
                 "pre_refine_total_bits": result.pre_refine_total_bits,
                 "pre_refine_error": result.pre_refine_error,

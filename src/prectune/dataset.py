@@ -166,7 +166,24 @@ def build_dataset(
 # benchmark identity, width box, seeds and input shape.
 
 
-_META_KEYS = ("benchmark", "nbit_lo", "nbit_hi", "seed_input", "seed_sample", "shape", "n_samples")
+def _is_int(value) -> bool:
+    # bools are ints to Python; JSON's true is no count
+    return type(value) is int
+
+
+# each sidecar key and the check its value must pass
+_META_TYPES = {
+    "benchmark": ("a string", lambda v: type(v) is str),
+    "nbit_lo": ("an integer", _is_int),
+    "nbit_hi": ("an integer", _is_int),
+    "seed_input": ("an integer", _is_int),
+    "seed_sample": ("an integer", _is_int),
+    "shape": (
+        "an object of integers",
+        lambda v: type(v) is dict and all(_is_int(x) for x in v.values()),
+    ),
+    "n_samples": ("an integer", _is_int),
+}
 
 
 def _sidecar(path) -> str:
@@ -201,9 +218,13 @@ def load_dataset(path) -> Dataset:
         raise DatasetFormatError(f"{path}: missing sidecar {_sidecar(path)}")
     with open(_sidecar(path)) as fh:
         meta = json.load(fh)
-    for key in _META_KEYS:
+    if type(meta) is not dict:
+        raise DatasetFormatError(f"{path}: sidecar is not a JSON object")
+    for key, (kind, valid) in _META_TYPES.items():
         if key not in meta:
             raise DatasetFormatError(f"{path}: sidecar has no {key!r}")
+        if not valid(meta[key]):
+            raise DatasetFormatError(f"{path}: sidecar {key!r} must be {kind}, got {meta[key]!r}")
     benchmark = meta["benchmark"]
     n = get_benchmark(benchmark).n_var
     samples: list[Sample] = []
@@ -238,6 +259,6 @@ def load_dataset(path) -> Dataset:
         nbit_hi=meta["nbit_hi"],
         seed_input=meta["seed_input"],
         seed_sample=meta["seed_sample"],
-        shape={k: int(v) for k, v in meta["shape"].items()},
+        shape=dict(meta["shape"]),
         samples=samples,
     )

@@ -4,13 +4,16 @@ configs, and a decision tree flagging configs with no usable digits.
 Both models are written out longhand on purpose.  The solver needs exact
 knowledge of the inference path (layer shapes, activation choice, split
 predicate, tie-breaking) to bound model output over boxes of configs, and
-byte-identical retraining given identical data and seeds.
+byte-identical training given identical data, seeds and start model.
 
 Regressor: layers [n, 2n, 2n, n, 1], ReLU between, linear output, trained
 with Adam on mean squared error over the class-0 subset only.  Inputs are
 scaled to [0, 1] from the dataset width box.  Targets are standardized for
 training and the affine correction is folded back into the output layer,
-so the stored model predicts log error directly.
+so the stored model predicts log error directly.  A retrain after the
+dataset grew may start from the previous model: its output layer is
+re-expressed under the new target mean and deviation, and a tenth of the
+epochs follow.
 
 Classifier: CART over integer widths, Gini impurity, splits of the form
 x[f] <= t with t an attained value below the feature max.  Ties prefer the
@@ -37,6 +40,8 @@ class InsufficientDataError(ValueError):
 BETA1 = 0.9
 BETA2 = 0.999
 ADAM_EPS = 1e-8
+# a retrain from the previous model takes this fraction of the epochs
+WARM_EPOCH_DIVISOR = 10
 
 
 @dataclass(frozen=True)
@@ -57,6 +62,8 @@ class MLPModel:
     biases: list[np.ndarray]
     input_lo: float
     input_hi: float
+    # Adam updates made by the fit that returned this model (0 if loaded)
+    adam_steps: int = field(default=0, compare=False)
 
     @property
     def n_inputs(self) -> int:
@@ -103,74 +110,131 @@ def _forward_cache(weights, biases, x):
     return acts, pre
 
 
-def _grads(weights, biases, x, y):
+def _grads(weights, biases, x, y, g_w=None, g_b=None):
     """Residuals and mean-squared-error gradients for one batch.
 
-    x: (B, n) normalized inputs, y: (B,) targets.
+    x: (B, n) normalized inputs, y: (B,) targets.  g_w and g_b, when given,
+    are arrays shaped like the weights and biases that receive the
+    gradients in place; otherwise new ones are returned.
     """
     acts, pre = _forward_cache(weights, biases, x)
     diff = acts[-1][:, 0] - y
     delta = (2.0 * diff / x.shape[0])[:, None]
-    g_w = [None] * len(weights)
-    g_b = [None] * len(weights)
+    if g_w is None:
+        g_w = [np.empty(w.shape) for w in weights]
+        g_b = [np.empty(b.shape) for b in biases]
     for l in reversed(range(len(weights))):
-        g_w[l] = acts[l].T @ delta
-        g_b[l] = delta.sum(axis=0)
+        np.matmul(acts[l].T, delta, out=g_w[l])
+        np.add.reduce(delta, axis=0, out=g_b[l])
         if l > 0:
             delta = (delta @ weights[l].T) * (pre[l - 1] > 0.0)
     return diff, g_w, g_b
 
 
 class _Adam:
+    """Adam, updating each parameter array in place.  The temporaries are
+    preallocated, and the order of operations is that of
+    m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g,
+    p -= lr m_hat / (sqrt(v_hat) + eps)."""
+
     def __init__(self, shapes, cfg: TrainConfig):
         self.cfg = cfg
         self.m = [np.zeros(s) for s in shapes]
         self.v = [np.zeros(s) for s in shapes]
+        self._tmp = [(np.empty(s), np.empty(s)) for s in shapes]
         self.t = 0
 
     def step(self, params, grads):
-        c = self.cfg
+        lr = self.cfg.learning_rate
         self.t += 1
-        for p, g, m, v in zip(params, grads, self.m, self.v):
+        m_scale = 1.0 - BETA1**self.t
+        v_scale = 1.0 - BETA2**self.t
+        for p, g, m, v, (a, b) in zip(params, grads, self.m, self.v, self._tmp):
             m *= BETA1
-            m += (1.0 - BETA1) * g
+            m += np.multiply(1.0 - BETA1, g, out=a)
             v *= BETA2
-            v += (1.0 - BETA2) * g * g
-            m_hat = m / (1.0 - BETA1**self.t)
-            v_hat = v / (1.0 - BETA2**self.t)
-            p -= c.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+            np.multiply(1.0 - BETA2, g, out=a)
+            v += np.multiply(a, g, out=a)
+            np.divide(m, m_scale, out=a)
+            np.multiply(lr, a, out=a)
+            np.divide(v, v_scale, out=b)
+            np.sqrt(b, out=b)
+            b += ADAM_EPS
+            p -= np.divide(a, b, out=a)
 
 
-def train_regressor(ds: Dataset, cfg: TrainConfig = TrainConfig()) -> MLPModel:
-    """Fit the log-error regressor on the usable (class-0) samples."""
+def warm_epochs(cfg: TrainConfig) -> int:
+    """Epochs of a retrain that starts from the previous model."""
+    return max(1, cfg.epochs // WARM_EPOCH_DIVISOR)
+
+
+def standardize_output(model: MLPModel, mu: float, sigma: float) -> MLPModel:
+    """A copy of model whose output is (model(x) - mu) / sigma: the stored
+    model with train_regressor's final fold undone for the given target
+    mean and deviation."""
+    weights = [w.copy() for w in model.weights]
+    biases = [b.copy() for b in model.biases]
+    weights[-1] /= sigma
+    biases[-1] = (biases[-1] - mu) / sigma
+    return MLPModel(weights, biases, model.input_lo, model.input_hi)
+
+
+def train_regressor(
+    ds: Dataset, cfg: TrainConfig = TrainConfig(), start: MLPModel | None = None
+) -> MLPModel:
+    """Fit the log-error regressor on the usable (class-0) samples.
+
+    From scratch, the weights are initialized from cfg.seed and trained
+    for cfg.epochs.  With a start model (the previous fit, on a dataset
+    that has since grown), training resumes from its weights, re-expressed
+    under the dataset's new target mean and deviation so that it starts
+    from the same function, for warm_epochs(cfg) epochs with a fresh Adam
+    state and the same shuffle seed."""
     keep = [s for s in ds.samples if s.class_label == 0]
     if not keep:
         raise InsufficientDataError(f"{ds.benchmark}: no class-0 samples to regress on")
-    model = init_mlp(ds.n_var, ds.nbit_lo, ds.nbit_hi, cfg.seed)
-    x = model.normalize(np.array([s.config for s in keep], dtype=np.float64))
     y_raw = np.array([s.log_err for s in keep])
     mu = float(np.mean(y_raw))
     sigma = max(float(np.std(y_raw)), 1e-12)
     y = (y_raw - mu) / sigma
+    if start is None:
+        model = init_mlp(ds.n_var, ds.nbit_lo, ds.nbit_hi, cfg.seed)
+        epochs = cfg.epochs
+    else:
+        if start.n_inputs != ds.n_var:
+            raise ValueError(
+                f"start model takes {start.n_inputs} inputs, {ds.benchmark} has {ds.n_var} slots"
+            )
+        model = standardize_output(start, mu, sigma)
+        epochs = warm_epochs(cfg)
+    x = model.normalize(np.array([s.config for s in keep], dtype=np.float64))
 
-    # Every weight and bias is a view into one flat buffer, so a single
-    # elementwise Adam update over the concatenated gradients moves them
-    # all; elementwise, that is the same arithmetic as one update per array.
+    # Every weight and bias is a view into one flat buffer, and every
+    # gradient a view into another, so a single elementwise Adam update
+    # moves them all; elementwise, that is the same arithmetic as one
+    # update per array.
     params = model.weights + model.biases
-    flat = np.concatenate([p.ravel() for p in params])
     ends = np.cumsum([p.size for p in params])[:-1]
-    views = [v.reshape(p.shape) for v, p in zip(np.split(flat, ends), params)]
-    weights, biases = views[: len(model.weights)], views[len(model.weights) :]
+
+    def views(buf):
+        parts = [v.reshape(p.shape) for v, p in zip(np.split(buf, ends), params)]
+        return parts[: len(model.weights)], parts[len(model.weights) :]
+
+    flat = np.concatenate([p.ravel() for p in params])
+    grad = np.empty_like(flat)
+    weights, biases = views(flat)
+    g_w, g_b = views(grad)
 
     rng = np.random.default_rng(cfg.seed + 1)
     opt = _Adam([flat.shape], cfg)
     n = x.shape[0]
-    for _ in range(cfg.epochs):
+    for _ in range(epochs):
         order = rng.permutation(n)
-        for start in range(0, n, cfg.batch_size):
-            idx = order[start : start + cfg.batch_size]
-            _, g_w, g_b = _grads(weights, biases, x[idx], y[idx])
-            opt.step([flat], [np.concatenate([g.ravel() for g in g_w + g_b])])
+        xs, ys = x[order], y[order]
+        for start_row in range(0, n, cfg.batch_size):
+            rows = slice(start_row, start_row + cfg.batch_size)
+            _grads(weights, biases, xs[rows], ys[rows], g_w, g_b)
+            opt.step([flat], [grad])
 
     # the returned model owns its arrays rather than views of the buffer
     model.weights = [w.copy() for w in weights]
@@ -178,6 +242,7 @@ def train_regressor(ds: Dataset, cfg: TrainConfig = TrainConfig()) -> MLPModel:
     # fold the target standardization into the linear output layer
     model.weights[-1] *= sigma
     model.biases[-1] = model.biases[-1] * sigma + mu
+    model.adam_steps = opt.t
     return model
 
 

@@ -13,7 +13,9 @@ settle_casts.
 
 smart_tune wraps the solver in a verify-retrain loop: each proposed config
 is actually run; a miss becomes a new training sample and an excluded
-config, and both models are refit before the next round.  plus_refine then
+config before the next round.  Then the classifier is refit from scratch,
+and the regressor retrained from its previous weights for a tenth of the
+epochs (learn.train_regressor's start model).  plus_refine then
 walks the verified config downward slot by slot with binary search,
 re-running the kernel to keep only improvements that hold up.
 fptuning_baseline applies the same descent from the all-max config without
@@ -84,6 +86,8 @@ class TunedResult:
     # config -> error of every verify and descent run this call made, so
     # that a later descent never runs one of them again
     measured: dict = field(default_factory=dict, repr=False)
+    # Adam updates made by the regressor retrains after misses
+    adam_steps: int = 0
 
 
 def build_problem(
@@ -368,9 +372,12 @@ def solve_mp(problem: TuningProblem) -> Solution | None:
 # --- verify-retrain loop --------------------------------------------------------
 
 
-def fit_models(dataset: Dataset, train_cfg: TrainConfig) -> tuple[MLPModel, DTModel]:
-    """The regressor and classifier fitted on the whole dataset."""
-    return train_regressor(dataset, train_cfg), train_classifier(dataset, train_cfg)
+def fit_models(
+    dataset: Dataset, train_cfg: TrainConfig, start: MLPModel | None = None
+) -> tuple[MLPModel, DTModel]:
+    """The regressor and classifier fitted on the whole dataset; the
+    regressor's training resumes from start when one is given."""
+    return train_regressor(dataset, train_cfg, start), train_classifier(dataset, train_cfg)
 
 
 def smart_tune(
@@ -395,7 +402,8 @@ def smart_tune(
     "model_infeasible" with that one run's error.
 
     kernel_runs counts executions made by this call, including dataset
-    construction when no dataset is passed in.  A passed-in dataset is
+    construction when no dataset is passed in, and adam_steps the Adam
+    updates of its retrains after misses (not of the initial fit).  A passed-in dataset is
     left untouched; misses extend a private copy.  models, when given, is
     the pair fit_models(dataset, train_cfg) returns, so that several
     targets on one dataset share one initial fit; ref is the kernel's
@@ -423,6 +431,7 @@ def smart_tune(
     cuts: set[tuple[int, ...]] = set()
     measured: dict[tuple[int, ...], float] = {}
     samples_added = 0
+    adam_steps = 0
     last_sol: Solution | None = None
     last_err = float("inf")
 
@@ -452,6 +461,7 @@ def smart_tune(
                 wall_time=time.perf_counter() - t0,
                 status="model_infeasible",
                 measured=measured,
+                adam_steps=adam_steps,
             )
         out = run_kernel(benchmark, input_set, sol.config)
         kernel_runs += 1
@@ -468,12 +478,15 @@ def smart_tune(
                 wall_time=time.perf_counter() - t0,
                 status="feasible",
                 measured=measured,
+                adam_steps=adam_steps,
             )
-        # miss: learn from it and never propose it again
+        # miss: learn from it and never propose it again; the regressor
+        # carries on from its last weights, the classifier is refit
         dataset.samples.append(error_sample(sol.config, err))
         samples_added += 1
         cuts.add(sol.config)
-        regressor, classifier = fit_models(dataset, train_cfg)
+        regressor, classifier = fit_models(dataset, train_cfg, regressor)
+        adam_steps += regressor.adam_steps
 
     return TunedResult(
         solution=last_sol,
@@ -485,6 +498,7 @@ def smart_tune(
         wall_time=time.perf_counter() - t0,
         status="budget_exhausted",
         measured=measured,
+        adam_steps=adam_steps,
     )
 
 

@@ -199,6 +199,15 @@ class TestTrainCommand:
         assert 0.0 <= metrics["accuracy"] <= 1.0
         assert {"seed_input", "seed_sample", "seed_train"} <= metrics.keys()
 
+    def test_dataset_seeds_recorded(self, tmp_path):
+        assert run("dataset", "--benchmark", "saxpy", "--dataset-size", "60", "--shape", "n=64",
+                   "--seed-input", "5", "--seed-sample", "7", "--out", str(tmp_path)) == EXIT_OK
+        rc = run("train", "--benchmark", "saxpy", "--epochs", "5", "--seed-train", "2",
+                 "--dataset", str(tmp_path / "saxpy_dataset.csv"), "--out", str(tmp_path))
+        assert rc == EXIT_OK
+        metrics = json.loads((tmp_path / "saxpy_metrics.json").read_text())
+        assert (metrics["seed_input"], metrics["seed_sample"], metrics["seed_train"]) == (5, 7, 2)
+
     def test_dataset_benchmark_mismatch(self, tmp_path):
         assert run("dataset", "--benchmark", "fwt", "--dataset-size", "30",
                    "--shape", "n=64", "--out", str(tmp_path)) == EXIT_OK
@@ -233,6 +242,7 @@ class TestTuneCommand:
         assert doc["actual_error"] <= doc["target"]
         assert sum(doc["config"]) == doc["total_bits"]
         assert doc["dataset_runs"] == 150
+        assert doc["samples_added"] == 0 and doc["adam_steps"] == 0
         assert doc["wall_time_s"] > 0
         assert {"seed_input", "seed_sample", "seed_train"} <= doc.keys()
 
@@ -286,6 +296,19 @@ class TestTuneCommand:
         assert f"has {field} " in capsys.readouterr().err
         assert not (tmp_path / "saxpy_smart_0.1.json").exists()
 
+    def test_prebuilt_dataset_sidecar_bad_value(self, tmp_path, capsys):
+        assert run("dataset", "--benchmark", "saxpy", "--dataset-size", "30",
+                   "--shape", "n=64", "--out", str(tmp_path)) == EXIT_OK
+        sidecar = tmp_path / "saxpy_dataset.csv.meta.json"
+        meta = json.loads(sidecar.read_text())
+        meta["shape"] = None
+        sidecar.write_text(json.dumps(meta))
+        rc = run("tune", "--benchmark", "saxpy", "--target", "1e-1", "--mode", "smart",
+                 "--shape", "n=64", "--dataset", str(tmp_path / "saxpy_dataset.csv"),
+                 "--out", str(tmp_path))
+        assert rc == EXIT_USAGE
+        assert "'shape'" in capsys.readouterr().err
+
     def test_prebuilt_dataset_sidecar_missing_key(self, tmp_path, capsys):
         assert run("dataset", "--benchmark", "saxpy", "--dataset-size", "30",
                    "--shape", "n=64", "--out", str(tmp_path)) == EXIT_OK
@@ -299,6 +322,19 @@ class TestTuneCommand:
         assert rc == EXIT_USAGE
         assert "'nbit_lo'" in capsys.readouterr().err
 
+    def test_prebuilt_dataset_seeds_recorded(self, tmp_path):
+        # a run on a loaded dataset records the seeds its data was drawn with
+        assert run("dataset", "--benchmark", "saxpy", "--dataset-size", "60", "--shape", "n=64",
+                   "--seed-input", "5", "--seed-sample", "7", "--out", str(tmp_path)) == EXIT_OK
+        rc = run("tune", "--benchmark", "saxpy", "--target", "1e-1", "--mode", "smart",
+                 "--shape", "n=64", "--seed-input", "5", "--seed-train", "2",
+                 "--dataset", str(tmp_path / "saxpy_dataset.csv"), "--out", str(tmp_path))
+        assert rc == EXIT_OK
+        doc = json.loads((tmp_path / "saxpy_smart_0.1.json").read_text())
+        assert (doc["seed_input"], doc["seed_sample"], doc["seed_train"]) == (5, 7, 2)
+        summary = (tmp_path / "saxpy_smart_summary.csv").read_text().splitlines()
+        assert summary[0] == "# seed_input=5 seed_sample=7 seed_train=2"
+
     @pytest.mark.parametrize("mode", ["smart", "smart_plus"])
     def test_targets_share_initial_fit(self, tmp_path, mode):
         # one invocation fits the initial models once for all its targets;
@@ -306,6 +342,7 @@ class TestTuneCommand:
         targets = ("1e-1", "1e-3", "1e-5")
         args = ("tune", "--benchmark", "saxpy", "--mode", mode, *FAST)
         assert run(*args, "--target", ",".join(targets), "--out", str(tmp_path / "all")) == EXIT_OK
+        misses = 0
         for target in targets:
             assert run(*args, "--target", target, "--out", str(tmp_path / target)) == EXIT_OK
             name = f"saxpy_{mode}_{target_slug(float(target))}.json"
@@ -313,6 +350,9 @@ class TestTuneCommand:
             alone = json.loads((tmp_path / target / name).read_text())
             del together["wall_time_s"], alone["wall_time_s"]
             assert together == alone
+            misses += together["samples_added"]
+        # some target retrained from its own previous regressor
+        assert misses > 0
 
 
 class TestSweepCommand:

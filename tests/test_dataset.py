@@ -289,6 +289,44 @@ class TestSerialization:
         with pytest.raises(DatasetFormatError, match=repr(key)):
             load_dataset(path)
 
+    @pytest.mark.parametrize("key,value", [
+        ("benchmark", None),
+        ("benchmark", 3),
+        ("nbit_lo", None),
+        ("nbit_lo", 1.5),
+        ("nbit_hi", "52"),
+        ("nbit_hi", True),
+        ("seed_input", None),
+        ("seed_input", 0.0),
+        ("seed_sample", "7"),
+        ("seed_sample", False),
+        ("shape", None),
+        ("shape", [16]),
+        ("shape", {"n": "16"}),
+        ("shape", {"n": 16.0}),
+        ("shape", {"n": True}),
+        ("n_samples", None),
+        ("n_samples", 3.0),
+    ])
+    def test_sidecar_bad_value_named(self, tmp_path, key, value):
+        ds = build_dataset("saxpy", n_samples=3, shape={"n": 16})
+        path = tmp_path / "ds.csv"
+        save_dataset(ds, path)
+        sidecar = tmp_path / "ds.csv.meta.json"
+        meta = json.loads(sidecar.read_text())
+        meta[key] = value
+        sidecar.write_text(json.dumps(meta))
+        with pytest.raises(DatasetFormatError, match=repr(key)):
+            load_dataset(path)
+
+    def test_sidecar_not_an_object(self, tmp_path):
+        ds = build_dataset("saxpy", n_samples=3, shape={"n": 16})
+        path = tmp_path / "ds.csv"
+        save_dataset(ds, path)
+        (tmp_path / "ds.csv.meta.json").write_text("5\n")
+        with pytest.raises(DatasetFormatError, match="not a JSON object"):
+            load_dataset(path)
+
     def test_bad_column_count_reports_line(self, tmp_path):
         ds = build_dataset("saxpy", n_samples=3, shape={"n": 16})
         path = tmp_path / "bad.csv"

@@ -2,6 +2,7 @@
 determinism, serialization."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -36,8 +37,10 @@ from prectune.learn import (
     save_classifier,
     save_regressor,
     split_dataset,
+    standardize_output,
     train_classifier,
     train_regressor,
+    warm_epochs,
 )
 
 
@@ -279,6 +282,60 @@ class TestFlatBufferAdam:
             ds.samples.append(error_sample(cfg, compute_error(run_kernel("fwt", inp, cfg), ref)))
         self.assert_matches_oracle(ds)
         self.assert_matches_oracle(ds, TrainConfig(learning_rate=0.01, epochs=20, batch_size=7, seed=3))
+
+
+class TestWarmStart:
+    """A retrain after the verify loop added samples resumes from the
+    previous regressor."""
+
+    @pytest.fixture(scope="class")
+    def grown(self):
+        # a fitted model, and its dataset grown by verified configs
+        inp = gen_input_set("saxpy", {"n": 64}, 0)
+        ds = build_dataset("saxpy", n_samples=120, input_set=inp, seed_sample=1)
+        model = train_regressor(ds, TrainConfig(epochs=20))
+        ref = reference_output("saxpy", inp)
+        for cfg in [(4, 9, 4), (12, 12, 20), (30, 2, 2)]:
+            ds.samples.append(error_sample(cfg, compute_error(run_kernel("saxpy", inp, cfg), ref)))
+        return ds, model
+
+    def test_standardize_output_keeps_predictions(self, grown):
+        ds, model = grown
+        x = ds.configs().astype(np.float64)
+        before = [a.copy() for a in model.weights + model.biases]
+        for mu, sigma in [(0.0, 1.0), (3.7, 2.3), (-12.5, 0.04), (25.0, 40.0)]:
+            std = standardize_output(model, mu, sigma)
+            np.testing.assert_allclose(std.forward(x) * sigma + mu, model.forward(x), rtol=1e-12, atol=0)
+            assert (std.input_lo, std.input_hi) == (model.input_lo, model.input_hi)
+        # the start model is not touched
+        for got, want in zip(model.weights + model.biases, before):
+            assert np.array_equal(got, want)
+
+    def test_warm_retrain_deterministic(self, grown):
+        ds, model = grown
+        cfg = TrainConfig(epochs=20)
+        a = train_regressor(ds, cfg, start=model)
+        b = train_regressor(ds, cfg, start=model)
+        for got, want in zip(a.weights + a.biases, b.weights + b.biases):
+            assert np.array_equal(got, want)
+            assert got.flags.owndata
+        # it trained, for the warm epochs only
+        assert any(not np.array_equal(w, v) for w, v in zip(a.weights, model.weights))
+        n_keep = sum(1 for s in ds.samples if s.class_label == 0)
+        assert warm_epochs(cfg) == 2
+        assert a.adam_steps == 2 * math.ceil(n_keep / cfg.batch_size)
+        assert train_regressor(ds, cfg).adam_steps == 20 * math.ceil(n_keep / cfg.batch_size)
+
+    def test_warm_epochs_at_least_one(self):
+        assert warm_epochs(TrainConfig(epochs=5)) == 1
+        assert warm_epochs(TrainConfig(epochs=100)) == 10
+
+    def test_start_with_wrong_inputs_refused(self, grown):
+        ds, _ = grown
+        fwt = train_regressor(build_dataset("fwt", n_samples=40, seed_sample=0), TrainConfig(epochs=2))
+        assert fwt.n_inputs == 2 and ds.n_var == 3
+        with pytest.raises(ValueError, match="2 inputs"):
+            train_regressor(ds, TrainConfig(epochs=2), start=fwt)
 
 
 class TestTrainClassifier:

@@ -48,3 +48,19 @@ def test_traced_tune_records_every_solve_layer():
     assert {"solve.tune", "solve.search", "learn.regressor_fit", "learn.classifier_fit", "kernels.run"} <= names
     # every verify run, plus the reference run kernel_runs leaves out
     assert result.kernel_runs + 1 == sum(1 for s in tracer.spans if s[spans.NAME] == "kernels.run")
+
+
+def test_traced_retrains_record_one_fit_span_each():
+    # a retrain after a miss starts from the previous regressor, but still
+    # goes through solve.train_regressor, so each fit is one span
+    spans = load_spans()
+    inp = gen_input_set("saxpy", {"n": 64}, seed=0)
+    ds = build_dataset("saxpy", n_samples=60, input_set=inp, seed_sample=0)
+    tracer = spans.Tracer()
+    with tracer.installed():
+        result = solve.smart_tune("saxpy", inp, 1e-3, budget=3, dataset=ds, train_cfg=TrainConfig(epochs=5))
+    assert result.samples_added >= 1
+    fits = sum(1 for s in tracer.spans if s[spans.NAME] == "learn.regressor_fit")
+    # the initial fit, then one per miss
+    assert fits == 1 + result.samples_added
+    assert result.adam_steps > 0

@@ -25,6 +25,7 @@ from prectune.learn import (
     predict_logerr,
     train_classifier,
     train_regressor,
+    warm_epochs,
 )
 from prectune.solve import (
     BRUTE_FORCE_CAP,
@@ -374,6 +375,7 @@ class TestSmartTune:
         assert res.refinement_iterations == 0
         assert res.samples_added == 0
         assert res.kernel_runs == 0
+        assert res.adam_steps == 0
 
     def test_model_infeasible(self, saxpy_input):
         # the models see only mediocre errors, the target demands far more;
@@ -423,6 +425,8 @@ class TestSmartTune:
         assert res.actual_error > 1e-30
         assert res.samples_added == 1
         assert res.kernel_runs == 1
+        # one warm retrain after the miss; the 28 usable samples make one batch
+        assert res.adam_steps == warm_epochs(TrainConfig())
 
     def test_deterministic(self, saxpy_input, saxpy_dataset):
         a = smart_tune("saxpy", saxpy_input, 1e-4, budget=10, dataset=saxpy_dataset)
