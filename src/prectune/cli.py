@@ -422,6 +422,7 @@ def cmd_tune(args) -> int:
                 "iterations": result.refinement_iterations,
                 "samples_added": result.samples_added,
                 "adam_steps": result.adam_steps,
+                "search_boxes": result.search_boxes,
                 "kernel_runs": result.kernel_runs,
                 "pre_refine_total_bits": result.pre_refine_total_bits,
                 "pre_refine_error": result.pre_refine_error,

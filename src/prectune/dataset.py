@@ -35,9 +35,9 @@ ERROR_FLOOR = 1e-40
 LOG_ERR_CAP = 40.0
 CLASS_THRESHOLD = 0.9
 _REF_EPS = 1e-60
-# 16 configs of a 1024-value input per kernel run: the per-call cost of the
-# emulation is spread thin without growing the process's peak memory
-BATCH_ELEMENTS = 1 << 14
+# 32 configs of a 1024-value input per kernel run: the per-call cost of the
+# emulation is spread thin for under a megabyte more peak memory
+BATCH_ELEMENTS = 1 << 15
 
 
 class DatasetFormatError(ValueError):

@@ -4,7 +4,10 @@ The search works on axis-aligned integer boxes, and this module holds all
 of its reasoning about what the models can do inside one.
 
 For the regressor, nn_bound_info gives a sound upper bound on the output
-over a box.  A forward interval pass (each weight matrix split into its
+over each of K boxes at once.  Every range, relaxation and coefficient
+carries a leading box axis through np.matmul broadcasting, so the search
+bounds a whole frontier of boxes in one call, and a single box is a batch
+of one.  A forward interval pass (each weight matrix split into its
 positive and negative parts) collects every layer's pre-activation range.
 When that cannot settle the box, tighten_pre narrows the hidden ranges
 layer by layer, and the output is rewritten backward to one linear
@@ -69,7 +72,8 @@ def split_weights(model: MLPModel) -> list[tuple[np.ndarray, np.ndarray]]:
 def relu_relaxation(z_lo: np.ndarray, z_hi: np.ndarray):
     """Per-unit pieces of the linear ReLU relaxation over [z_lo, z_hi]:
     live mask, upper chord slope and its constant, and the {0,1} lower
-    slope.  Stable units get slope 1 and no constant."""
+    slope.  Stable units get slope 1 and no constant.  Elementwise, so any
+    leading box axis carries through."""
     dead = z_hi <= 0.0
     crossing = ~dead & (z_lo < 0.0)
     span = np.where(z_hi - z_lo > 0.0, z_hi - z_lo, 1.0)
@@ -80,30 +84,33 @@ def relu_relaxation(z_lo: np.ndarray, z_hi: np.ndarray):
 
 
 def backward_upper(c, d, relax, weights, biases, lo, hi):
-    """Upper bounds over the input box [lo, hi] of the columns of
+    """Upper bounds over each input box [lo[k], hi[k]] of the columns of
     c.T @ relu(z) + d, where z is the pre-activation of hidden layer
     len(relax) - 1 and relax holds the relaxations of hidden layers
-    0..len(relax) - 1.  Returns (bounds, input coefficients).
+    0..len(relax) - 1, each with a leading box axis.  lo and hi are
+    (K, n); c starts as one (units, m) matrix for every box.  Returns
+    ((K, m) bounds, (K, n, m) input coefficients).
 
     Walking down one layer, from above relu(z) <= chord*(z - z_lo) and
     from below relu(z) >= alpha*z with alpha in {0, 1}: a positive
     coefficient takes the chord, a negative one the lower line."""
     for k in range(len(relax) - 1, -1, -1):
         live, chord, chord_c, alpha = relax[k]
-        d = d + np.maximum(c, 0.0).T @ chord_c
-        c = c * np.where(c > 0.0, chord[:, None], alpha[:, None]) * live[:, None]
+        d = d + (chord_c[:, None, :] @ np.maximum(c, 0.0))[:, 0]
+        c = c * np.where(c > 0.0, chord[..., None], alpha[..., None]) * live[..., None]
         d = d + biases[k] @ c
         c = weights[k] @ c
-    return np.maximum(c, 0.0).T @ hi + np.minimum(c, 0.0).T @ lo + d, c
+    up = hi[:, None, :] @ np.maximum(c, 0.0) + lo[:, None, :] @ np.minimum(c, 0.0)
+    return up[:, 0] + d, c
 
 
-def tighten_pre(pre, weights, biases, lo, hi) -> list:
+def tighten_pre(pre, weights, biases, lo, hi) -> None:
     """Replace the interval pre-activation ranges of hidden layers
     1..len(pre)-1 with the intersection of the interval range and a
     backward rewrite to the input, layer by layer so later rewrites reuse
     earlier tightenings.  Layer 0 is affine in the box, so its interval
-    range is already exact.  Returns the relaxation of every hidden layer,
-    each computed once its range is final."""
+    range is already exact.  Every range is (K, units), one row per box
+    [lo[k], hi[k]]."""
     relax = [relu_relaxation(*pre[0])]
     for l in range(1, len(pre)):
         w, b = weights[l], biases[l]
@@ -112,29 +119,30 @@ def tighten_pre(pre, weights, biases, lo, hi) -> list:
         up, _ = backward_upper(np.hstack([w, -w]), np.concatenate([b, -b]), relax, weights, biases, lo, hi)
         z_lo, z_hi = pre[l]
         n = w.shape[1]
-        pre[l] = (np.maximum(z_lo, -up[n:]), np.minimum(z_hi, up[:n]))
+        pre[l] = (np.maximum(z_lo, -up[:, n:]), np.minimum(z_hi, up[:, :n]))
         relax.append(relu_relaxation(*pre[l]))
-    return relax
 
 
 def nn_bound_info(
     model: MLPModel,
-    box: DomainBox,
+    lo,
+    hi,
     splits: list[tuple[np.ndarray, np.ndarray]] | None = None,
     good_enough: float | None = None,
-) -> tuple[float, np.ndarray | None]:
-    """(upper bound, per-dim slack) for the regressor over the box.
+) -> tuple[np.ndarray, np.ndarray]:
+    """(K upper bounds, (K, n) per-dim slacks) for the regressor over the
+    K boxes [lo[k], hi[k]], given as (K, n) arrays of widths.
 
     Neither the interval pass nor the backward rewrite dominates the other
-    on every box, so the smaller of the two is returned.  The slack vector
-    |c| * width measures how much each input dimension contributes to the
-    backward bound, which makes a good branching guide.  It is None when
-    an interval bound already lands below good_enough and the backward
-    work is skipped.
+    on every box, so each bound is the smaller of the two.  A slack row
+    |c| * width measures how much each input dimension contributes to its
+    box's backward bound, which makes a good branching guide.  A box whose
+    interval bound already lands below good_enough skips the backward
+    work, and its slack row is left at zero.
 
     splits may carry the precomputed split_weights of the same model."""
-    lo = model.normalize(np.array(box.lo, dtype=np.float64))
-    hi = model.normalize(np.array(box.hi, dtype=np.float64))
+    lo = model.normalize(np.asarray(lo, dtype=np.float64))
+    hi = model.normalize(np.asarray(hi, dtype=np.float64))
     weights, biases = model.weights, model.biases
     if splits is None:
         splits = split_weights(model)
@@ -152,24 +160,31 @@ def nn_bound_info(
         a_hi = np.maximum(z_hi, 0.0)
 
     w_pos, w_neg = splits[last]
-    interval_hi = float((a_hi @ w_pos + a_lo @ w_neg + biases[last])[0])
-    if good_enough is not None and interval_hi < good_enough:
-        return interval_hi, None
+    bound = (a_hi @ w_pos + a_lo @ w_neg + biases[last])[:, 0]
+    slack = np.zeros(lo.shape)
 
-    if last >= 2 and not box.is_singleton():
-        relax = tighten_pre(pre, weights, biases, lo, hi)
-        t_lo, t_hi = pre[last - 1]
-        tightened_hi = float(
-            (np.maximum(t_hi, 0.0) @ w_pos + np.maximum(t_lo, 0.0) @ w_neg + biases[last])[0]
-        )
-        interval_hi = min(interval_hi, tightened_hi)
-        if good_enough is not None and interval_hi < good_enough:
-            return interval_hi, None
-    else:
-        relax = [relu_relaxation(*p) for p in pre]
+    def unsettled(rows: np.ndarray) -> np.ndarray:
+        return rows if good_enough is None else rows[bound[rows] >= good_enough]
 
-    up, c = backward_upper(weights[last], biases[last], relax, weights, biases, lo, hi)
-    return min(float(up[0]), interval_hi), np.abs(c[:, 0]) * (hi - lo)
+    rows = unsettled(np.arange(len(bound)))
+    if last >= 2:
+        # a single point's interval ranges are already exact
+        wide = rows[np.any(lo[rows] < hi[rows], axis=1)]
+        if wide.size:
+            sub = [(z_lo[wide], z_hi[wide]) for z_lo, z_hi in pre]
+            tighten_pre(sub, weights, biases, lo[wide], hi[wide])
+            for (z_lo, z_hi), (t_lo, t_hi) in zip(pre, sub):
+                z_lo[wide], z_hi[wide] = t_lo, t_hi
+            t_lo, t_hi = sub[last - 1]
+            tightened = (np.maximum(t_hi, 0.0) @ w_pos + np.maximum(t_lo, 0.0) @ w_neg + biases[last])[:, 0]
+            bound[wide] = np.minimum(bound[wide], tightened)
+            rows = unsettled(rows)
+    if rows.size:
+        relax = [relu_relaxation(z_lo[rows], z_hi[rows]) for z_lo, z_hi in pre]
+        up, c = backward_upper(weights[last], biases[last], relax, weights, biases, lo[rows], hi[rows])
+        bound[rows] = np.minimum(up[:, 0], bound[rows])
+        slack[rows] = np.abs(c[:, :, 0]) * (hi[rows] - lo[rows])
+    return bound, slack
 
 
 # --- classifier -----------------------------------------------------------------

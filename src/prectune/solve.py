@@ -1,15 +1,23 @@
 """Width assignment search.
 
 solve_mp finds the cheapest per-slot width config that the learned models
-predict to satisfy the error target, by depth-first branch and bound over
+predict to satisfy the error target, by best-first branch and bound over
 integer boxes.  It searches the classifier's class-0 leaf boxes only
-(embed.dt_label_boxes) and discards a box when dependency propagation
-empties it, when its cheapest corner cannot beat the incumbent, or when
-the regressor's upper bound over it (embed.nn_bound_info) stays below the
-required log error.  Acceptance at a point is exact model inference, so
-the search returns exactly what brute enumeration of consistent configs
-against the models would.  Cast results are recomputed in one place,
-settle_casts.
+(embed.dt_label_boxes), from a greedy incumbent, and keeps its open boxes
+on a heap keyed by their cheapest corner (total width, then the corner
+itself).  Each step pops up to FRONTIER boxes and discards a box when
+dependency propagation empties it, when its cheapest corner cannot beat
+the incumbent, or when the regressor's upper bound over it stays below the
+required log error; the surviving boxes are bounded in one
+embed.nn_bound_info call, and their lo corners (after propagation, each
+its box's cheapest consistent config) predicted in one regressor call.  Each box is then closed or split in key order, with the
+cost prune checked again against the incumbent the boxes before it left.
+The search stops once the cheapest open box cannot beat the incumbent.
+Every prune is sound and an accepted corner closes its box, so the visit
+order cannot change the answer: acceptance at a point is exact model
+inference, and the search returns exactly what brute enumeration of
+consistent configs against the models would.  Cast results are recomputed
+in one place, settle_casts.
 
 smart_tune wraps the solver in a verify-retrain loop: each proposed config
 is actually run; a miss becomes a new training sample and an excluded
@@ -33,6 +41,7 @@ config, making every search path deterministic.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import time
 from dataclasses import dataclass, field, replace
@@ -47,6 +56,9 @@ from .learn import DTModel, MLPModel, TrainConfig, classify, predict_logerr, tra
 
 EPS_BOUND = 1e-6
 BRUTE_FORCE_CAP = 100_000
+# boxes solve_mp pops and bounds per step: on a 7-slot model a box costs
+# about 30 us to bound in a batch of 32, against 540 us in a batch of one
+FRONTIER = 32
 
 
 @dataclass(frozen=True)
@@ -88,6 +100,8 @@ class TunedResult:
     measured: dict = field(default_factory=dict, repr=False)
     # Adam updates made by the regressor retrains after misses
     adam_steps: int = 0
+    # boxes bounded by all of this call's searches (SearchStats.boxes)
+    search_boxes: int = 0
 
 
 def build_problem(
@@ -129,9 +143,14 @@ def dependency_consistent(config, edges) -> bool:
     return True
 
 
+def cast_destinations(edges) -> set[int]:
+    """Dims whose width is a cast result."""
+    return {e.destination for e in edges if e.kind == CAST}
+
+
 def free_dims(edges, n_dims: int) -> list[int]:
     """Dims whose width is chosen directly; cast results just follow."""
-    pinned = {e.destination for e in edges if e.kind == CAST}
+    pinned = cast_destinations(edges)
     return [d for d in range(n_dims) if d not in pinned]
 
 
@@ -220,12 +239,12 @@ def _repair_down(config: list[int], edges) -> tuple[int, ...] | None:
     return out if dependency_consistent(out, edges) else None
 
 
-def _assignment_floor(cfg, slot: int, edges, nbit_min: int) -> int:
+def _assignment_floor(cfg, slot: int, edges, cast_dests: set[int], nbit_min: int) -> int:
     """Lowest width worth probing for slot.  An assignment source pins the
-    slot from below, except when that source is itself a cast result: the
-    repair recomputes those, so lowering the slot can pull the source down
-    with it and the consistency check after repair has the final word."""
-    cast_dests = {e.destination for e in edges if e.kind == CAST}
+    slot from below, except when that source is itself a cast result (one
+    of cast_dests): the repair recomputes those, so lowering the slot can
+    pull the source down with it and the consistency check after repair
+    has the final word."""
     floor = nbit_min
     for e in edges:
         if e.kind != CAST and e.destination == slot and e.sources[0] not in cast_dests:
@@ -242,13 +261,14 @@ def _descend(start, edges, nbit_min: int, is_feasible) -> tuple[tuple[int, ...],
     width never increases."""
     cur = tuple(int(v) for v in start)
     free = free_dims(edges, len(cur))
+    cast_dests = cast_destinations(edges)
     passes = 0
     while True:
         passes += 1
         start_total = sum(cur)
         order = sorted(free, key=lambda s: (-cur[s], s))
         for slot in order:
-            floor = _assignment_floor(cur, slot, edges, nbit_min)
+            floor = _assignment_floor(cur, slot, edges, cast_dests, nbit_min)
             if floor >= cur[slot]:
                 continue
             lo, hi = floor, cur[slot]
@@ -273,7 +293,14 @@ def _descend(start, edges, nbit_min: int, is_feasible) -> tuple[tuple[int, ...],
 # --- exact search over the models ----------------------------------------------
 
 
-def solve_mp(problem: TuningProblem) -> Solution | None:
+@dataclass
+class SearchStats:
+    """Work done by the solve_mp calls it is passed to."""
+
+    boxes: int = 0  # boxes bounded by the regressor
+
+
+def solve_mp(problem: TuningProblem, stats: SearchStats | None = None) -> Solution | None:
     """Minimum-total-width config accepted by both models, or None."""
     edges = problem.edges
     reg = problem.regressor
@@ -281,81 +308,83 @@ def solve_mp(problem: TuningProblem) -> Solution | None:
     log_target = problem.log_target
     domain = problem.domain
     free = free_dims(edges, domain.n_dims)
-    floor_width = min(domain.lo)
+    if stats is None:
+        stats = SearchStats()
 
-    best_cfg: tuple[int, ...] | None = None
-    best_sum = 0
+    def accepted(cfgs) -> list[bool]:
+        """Model acceptance of each dependency-consistent config, with one
+        regressor call."""
+        asked = [cfg for cfg in cfgs if cfg not in problem.cuts]
+        preds = iter(predict_logerr(reg, np.array(asked, dtype=np.float64)) if asked else ())
+        return [
+            cfg not in problem.cuts and next(preds) >= log_target and classify(clf, cfg) == 0
+            for cfg in cfgs
+        ]
 
-    def model_accepts(cfg) -> bool:
-        if cfg in problem.cuts or not dependency_consistent(cfg, edges):
-            return False
-        if predict_logerr(reg, np.array(cfg, dtype=np.float64)) < log_target:
-            return False
-        return classify(clf, cfg) == 0
+    # (total, config) of the incumbent
+    best: tuple[int, tuple[int, ...]] | None = None
 
-    def consider(cfg) -> None:
-        nonlocal best_cfg, best_sum
-        total = sum(cfg)
-        if best_cfg is not None and (total > best_sum or (total == best_sum and cfg >= best_cfg)):
-            return
-        if model_accepts(cfg):
-            best_cfg, best_sum = cfg, total
+    def beaten(lo) -> bool:
+        # lo is both the cheapest and the lexicographically first point of
+        # its box, so no point of the box can beat the incumbent
+        return best is not None and (sum(lo), lo) >= best
 
     # a cheap, usually near-optimal incumbent makes the cost prune bite
     # from the start
     start = complete_config(domain.hi, domain, edges)
-    if start is not None and model_accepts(start):
+    if start is not None and accepted([start])[0]:
         greedy, _ = _descend(
-            start, edges, floor_width,
-            lambda cfg: domain.contains(cfg) and model_accepts(cfg),
+            start, edges, min(domain.lo),
+            lambda cfg: domain.contains(cfg) and accepted([cfg])[0],
         )
-        best_cfg, best_sum = greedy, sum(greedy)
+        best = (sum(greedy), greedy)
 
     splits = split_weights(reg)
     prune_at = log_target - EPS_BOUND
-
-    def visit(box: DomainBox) -> None:
-        box = propagate_box(box, edges)
-        if box is None:
-            return
-        if best_cfg is not None:
-            s_lo = sum(box.lo)
-            # box.lo is both the cheapest and the lexicographically first
-            # point of the box
-            if s_lo > best_sum or (s_lo == best_sum and box.lo >= best_cfg):
-                return
-        bound, slack = nn_bound_info(reg, box, splits, prune_at)
-        if bound < prune_at:
-            return
-        cand = complete_config(box.lo, box, edges)
-        if cand is not None and model_accepts(cand):
-            # every consistent config in the box is pointwise >= cand, so
-            # none can be cheaper or lexicographically earlier: take it
-            # and close the box
-            consider(cand)
-            return
-        if box.is_singleton():
-            return
-        open_dims = [dim for dim in free if box.lo[dim] < box.hi[dim]]
-        if slack is not None and any(slack[dim] > 0.0 for dim in open_dims):
-            # split where the regressor bound is loosest, so both halves
-            # tighten the most
-            d = max(open_dims, key=lambda dim: (slack[dim], -dim))
-        else:
-            d = max(open_dims, key=lambda dim: box.hi[dim] - box.lo[dim])
-        mid = (box.lo[d] + box.hi[d]) // 2
-        visit(box.with_dim(d, box.lo[d], mid))
-        visit(box.with_dim(d, mid + 1, box.hi[d]))
-
     # the classifier's acceptable region is exactly a union of leaf boxes;
-    # searching them cheapest-first removes class-1 space wholesale and
-    # lets the cost prune bite early
-    leaf_boxes = dt_label_boxes(clf, domain, 0)
-    leaf_boxes.sort(key=lambda b: (sum(b.lo), b.lo))
-    for leaf_box in leaf_boxes:
-        visit(leaf_box)
-    if best_cfg is None:
+    # searching them removes class-1 space wholesale.  Boxes are kept
+    # unpropagated on a heap keyed by their cheapest corner.
+    heap = [(sum(b.lo), b.lo, b.hi) for b in dt_label_boxes(clf, domain, 0)]
+    heapq.heapify(heap)
+    while heap and not beaten(heap[0][1]):
+        boxes = []
+        while heap and len(boxes) < FRONTIER and not beaten(heap[0][1]):
+            _, lo, hi = heapq.heappop(heap)
+            box = propagate_box(DomainBox(lo, hi), edges)
+            if box is not None and not beaten(box.lo):
+                boxes.append(box)
+        if not boxes:
+            continue
+        bounds, slacks = nn_bound_info(reg, [b.lo for b in boxes], [b.hi for b in boxes], splits, prune_at)
+        stats.boxes += len(boxes)
+        live = [(box, slack) for box, bound, slack in zip(boxes, bounds, slacks) if bound >= prune_at]
+        # propagation leaves a box's lo corner consistent, so it is the
+        # box's cheapest config
+        oks = accepted([box.lo for box, _ in live])
+        # in key order, each against the incumbent the boxes before it left
+        for (box, slack), ok in zip(live, oks):
+            if beaten(box.lo):
+                continue
+            if ok:
+                # no config of the box is cheaper or lexicographically
+                # earlier: take it and close the box
+                best = (sum(box.lo), box.lo)
+                continue
+            if box.is_singleton():
+                continue
+            open_dims = [dim for dim in free if box.lo[dim] < box.hi[dim]]
+            if any(slack[dim] > 0.0 for dim in open_dims):
+                # split where the regressor bound is loosest, so both halves
+                # tighten the most
+                d = max(open_dims, key=lambda dim: (slack[dim], -dim))
+            else:
+                d = max(open_dims, key=lambda dim: box.hi[dim] - box.lo[dim])
+            mid = (box.lo[d] + box.hi[d]) // 2
+            for half in (box.with_dim(d, box.lo[d], mid), box.with_dim(d, mid + 1, box.hi[d])):
+                heapq.heappush(heap, (sum(half.lo), half.lo, half.hi))
+    if best is None:
         return None
+    best_sum, best_cfg = best
     assert dependency_consistent(best_cfg, edges)
     assert problem.domain.contains(best_cfg)
     pred = predict_logerr(reg, np.array(best_cfg, dtype=np.float64))
@@ -402,9 +431,11 @@ def smart_tune(
     "model_infeasible" with that one run's error.
 
     kernel_runs counts executions made by this call, including dataset
-    construction when no dataset is passed in, and adam_steps the Adam
-    updates of its retrains after misses (not of the initial fit).  A passed-in dataset is
-    left untouched; misses extend a private copy.  models, when given, is
+    construction when no dataset is passed in, adam_steps the Adam updates
+    of its retrains after misses (not of the initial fit; a miss in the
+    last budget round makes no retrain), and search_boxes the boxes its
+    searches bounded.  A passed-in dataset is left untouched; misses
+    extend a private copy.  models, when given, is
     the pair fit_models(dataset, train_cfg) returns, so that several
     targets on one dataset share one initial fit; ref is the kernel's
     reference output on input_set, computed here when not given."""
@@ -429,6 +460,7 @@ def smart_tune(
     regressor, classifier = models if models is not None else fit_models(dataset, train_cfg)
 
     cuts: set[tuple[int, ...]] = set()
+    stats = SearchStats()
     measured: dict[tuple[int, ...], float] = {}
     samples_added = 0
     adam_steps = 0
@@ -439,7 +471,7 @@ def smart_tune(
         problem = build_problem(
             benchmark, regressor, classifier, target_error, nbit_min, nbit_max, cuts
         )
-        sol = solve_mp(problem)
+        sol = solve_mp(problem, stats)
         if sol is None and iteration == 1:
             # no verify run yet to learn from: ask the kernel, not the models
             base = _descent_from_max(benchmark, input_set, target_error, nbit_min, nbit_max, ref)
@@ -449,6 +481,7 @@ def smart_tune(
                 kernel_runs=kernel_runs + base.kernel_runs,
                 wall_time=time.perf_counter() - t0,
                 status="max_descent" if base.feasible else "model_infeasible",
+                search_boxes=stats.boxes,
             )
         if sol is None:
             return TunedResult(
@@ -462,6 +495,7 @@ def smart_tune(
                 status="model_infeasible",
                 measured=measured,
                 adam_steps=adam_steps,
+                search_boxes=stats.boxes,
             )
         out = run_kernel(benchmark, input_set, sol.config)
         kernel_runs += 1
@@ -479,14 +513,17 @@ def smart_tune(
                 status="feasible",
                 measured=measured,
                 adam_steps=adam_steps,
+                search_boxes=stats.boxes,
             )
         # miss: learn from it and never propose it again; the regressor
-        # carries on from its last weights, the classifier is refit
+        # carries on from its last weights, the classifier is refit, unless
+        # no search is left to use them
         dataset.samples.append(error_sample(sol.config, err))
         samples_added += 1
         cuts.add(sol.config)
-        regressor, classifier = fit_models(dataset, train_cfg, regressor)
-        adam_steps += regressor.adam_steps
+        if iteration < budget:
+            regressor, classifier = fit_models(dataset, train_cfg, regressor)
+            adam_steps += regressor.adam_steps
 
     return TunedResult(
         solution=last_sol,
@@ -499,6 +536,7 @@ def smart_tune(
         status="budget_exhausted",
         measured=measured,
         adam_steps=adam_steps,
+        search_boxes=stats.boxes,
     )
 
 

@@ -254,7 +254,7 @@ class TestC07EmbeddingSoundness:
             lo = rng.integers(1, 53, 3)
             hi = np.array([rng.integers(l, 53) for l in lo])
             box = DomainBox(tuple(int(v) for v in lo), tuple(int(v) for v in hi))
-            upper, _ = nn_bound_info(reg, box)
+            (upper,), _ = nn_bound_info(reg, [box.lo], [box.hi])
             pts = np.column_stack(
                 [rng.integers(l, h + 1, 20) for l, h in zip(lo, hi)]
             ).astype(np.float64)

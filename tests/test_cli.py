@@ -243,6 +243,7 @@ class TestTuneCommand:
         assert sum(doc["config"]) == doc["total_bits"]
         assert doc["dataset_runs"] == 150
         assert doc["samples_added"] == 0 and doc["adam_steps"] == 0
+        assert isinstance(doc["search_boxes"], int) and doc["search_boxes"] >= 0
         assert doc["wall_time_s"] > 0
         assert {"seed_input", "seed_sample", "seed_train"} <= doc.keys()
 

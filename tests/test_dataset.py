@@ -170,7 +170,7 @@ class TestBatchedBuild:
     oracles.py must give the same samples, whatever the batch size."""
 
     @pytest.mark.parametrize("name", sorted(BATCH_SHAPES))
-    @pytest.mark.parametrize("budget", [1, 300, D.BATCH_ELEMENTS])
+    @pytest.mark.parametrize("budget", [1, 300, 1 << 14, D.BATCH_ELEMENTS])
     def test_matches_per_config_build(self, name, budget, monkeypatch):
         inp = K.gen_input_set(name, BATCH_SHAPES[name], 3)
         calls = []

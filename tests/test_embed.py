@@ -85,19 +85,74 @@ class TestNNBounds:
         box = DomainBox((-1,), (2,))
         lo, hi = interval_ranges(ABS_NET, box.lo, box.hi)[-1]
         assert (lo[0], hi[0]) == (0.0, 3.0)
-        assert nn_bound_info(ABS_NET, box)[0] == pytest.approx(2.0, abs=1e-12)
+        assert nn_bound_info(ABS_NET, [box.lo], [box.hi])[0][0] == pytest.approx(2.0, abs=1e-12)
 
     def test_hand_singleton_is_exact(self):
-        assert nn_bound_info(ABS_NET, DomainBox((-3,), (-3,)))[0] == 3.0
+        assert nn_bound_info(ABS_NET, [(-3,)], [(-3,)])[0][0] == 3.0
 
     def test_monte_carlo_containment(self, fwt_models):
         reg, _ = fwt_models
         rng = np.random.default_rng(3)
         for _ in range(50):
             box = random_box(rng, 2)
-            ub, _ = nn_bound_info(reg, box)
+            (ub,), _ = nn_bound_info(reg, [box.lo], [box.hi])
             outs = reg.forward(sample_in_box(rng, box, 200).astype(float))
             assert np.all(outs <= ub + 1e-12)
+
+
+@pytest.fixture(scope="module", params=["saxpy", "dwt", "correlation"])
+def batch_models(request):
+    bench = request.param
+    shape = {"series": 4, "points": 32} if bench == "correlation" else {"n": 128}
+    inp = gen_input_set(bench, shape, seed=0)
+    ds = build_dataset(bench, n_samples=300, input_set=inp, seed_sample=0)
+    return train_regressor(ds, TrainConfig(epochs=30))
+
+
+class TestBatchedBounds:
+    @staticmethod
+    def mixed_boxes(rng, n_dims, count=40):
+        # singletons, narrow and wide boxes and the whole domain, interleaved
+        boxes = [DomainBox((1,) * n_dims, (52,) * n_dims)]
+        for i in range(count):
+            if i % 3 == 0:
+                p = tuple(int(v) for v in rng.integers(1, 53, n_dims))
+                boxes.append(DomainBox(p, p))
+            elif i % 3 == 1:
+                base = rng.integers(1, 49, n_dims)
+                boxes.append(DomainBox(tuple(base.tolist()), tuple((base + rng.integers(0, 4, n_dims)).tolist())))
+            else:
+                boxes.append(random_box(rng, n_dims))
+        return boxes
+
+    def test_rows_match_single_box_calls(self, batch_models):
+        reg = batch_models
+        rng = np.random.default_rng(11)
+        boxes = self.mixed_boxes(rng, reg.weights[0].shape[0])
+        bounds, slacks = nn_bound_info(reg, [b.lo for b in boxes], [b.hi for b in boxes])
+        assert bounds.shape == (len(boxes),) and slacks.shape == (len(boxes), boxes[0].n_dims)
+        for box, bound, slack in zip(boxes, bounds, slacks):
+            one, one_slack = nn_bound_info(reg, [box.lo], [box.hi])
+            assert abs(bound - one[0]) <= 1e-12
+            assert np.all(np.abs(slack - one_slack[0]) <= 1e-12)
+            if box.is_singleton():
+                assert np.all(slack == 0.0)
+            outs = reg.forward(sample_in_box(rng, box, 200).astype(float))
+            assert np.all(outs <= bound + 1e-12)
+
+    def test_good_enough_keeps_every_prune_decision(self, batch_models):
+        # rows settled early keep a looser bound, but only below good_enough,
+        # and the rows left open get the full bound
+        reg = batch_models
+        rng = np.random.default_rng(12)
+        boxes = self.mixed_boxes(rng, reg.weights[0].shape[0], count=60)
+        lo, hi = [b.lo for b in boxes], [b.hi for b in boxes]
+        full, _ = nn_bound_info(reg, lo, hi)
+        cut = float(np.median(full))
+        early, _ = nn_bound_info(reg, lo, hi, good_enough=cut)
+        assert np.all(early >= full)
+        assert np.array_equal(early < cut, full < cut)
+        assert np.all(np.abs(early[early >= cut] - full[early >= cut]) <= 1e-12)
 
 
 class TestTightenedRanges:
@@ -110,9 +165,10 @@ class TestTightenedRanges:
         narrowed_lo = narrowed_hi = 0
         for _ in range(150):
             box = random_box(rng, n_in)
-            pre = interval_ranges(reg, box.lo, box.hi)[:-1]
+            # a batch of one box
+            pre = [(lo[None], hi[None]) for lo, hi in interval_ranges(reg, box.lo, box.hi)[:-1]]
             before = list(pre)
-            lo_in, hi_in = reg.normalize(np.array(box.lo)), reg.normalize(np.array(box.hi))
+            lo_in, hi_in = reg.normalize(np.array([box.lo])), reg.normalize(np.array([box.hi]))
             tighten_pre(pre, reg.weights, reg.biases, lo_in, hi_in)
             zs = pre_activations(reg, sample_in_box(rng, box, 200))[:-1]
             assert len(pre) == len(zs) == len(reg.weights) - 1

@@ -25,7 +25,6 @@ from prectune.learn import (
     predict_logerr,
     train_classifier,
     train_regressor,
-    warm_epochs,
 )
 from prectune.solve import (
     BRUTE_FORCE_CAP,
@@ -148,6 +147,27 @@ class TestDependencyHelpers:
                 if dependency_consistent(cfg, edges):
                     assert tight is not None and tight.contains(cfg)
 
+    @pytest.mark.parametrize("bench", ["saxpy", "fwt", "dwt", "correlation", "convolution", "bscholes", "jacobi"])
+    def test_propagated_lo_is_consistent(self, bench):
+        # the search takes a propagated box's lo corner as its cheapest
+        # config, which needs the corner itself to satisfy every edge
+        rng = np.random.default_rng(4)
+        edges = dependency_graph(bench)
+        n = get_benchmark(bench).n_var
+        checked = 0
+        for i in range(300):
+            a = rng.integers(1, 53, n)
+            # every other box open to the top: wide cast chains empty
+            # almost every fully random box
+            b = rng.integers(1, 53, n) if i % 2 else np.full(n, 52)
+            tight = propagate_box(DomainBox(tuple(np.minimum(a, b).tolist()), tuple(np.maximum(a, b).tolist())), edges)
+            if tight is None:
+                continue
+            assert dependency_consistent(tight.lo, edges)
+            assert complete_config(tight.lo, tight, edges) == tight.lo
+            checked += 1
+        assert checked > 0
+
     def test_settle_casts_reaches_fixpoint(self):
         # the cast feeding slot 2 comes after the one reading it, so one
         # pass over the edges is not enough
@@ -201,7 +221,7 @@ class TestNNUpperBound:
         w0 = np.array([[1.0, -1.0]])
         w1 = np.array([[1.0], [1.0]])
         model = MLPModel([w0, w1], [np.zeros(2), np.zeros(1)], 0.0, 1.0)
-        ub, _ = nn_bound_info(model, DomainBox((-1,), (3,)))
+        (ub,), _ = nn_bound_info(model, [(-1,)], [(3,)])
         assert ub == pytest.approx(3.0, abs=1e-12)
         assert interval_ranges(model, (-1,), (3,))[-1][1][0] == pytest.approx(4.0)
 
@@ -212,7 +232,7 @@ class TestNNUpperBound:
             a = rng.integers(1, 53, 3)
             b = rng.integers(1, 53, 3)
             box = DomainBox(tuple(np.minimum(a, b).tolist()), tuple(np.maximum(a, b).tolist()))
-            ub, _ = nn_bound_info(reg, box)
+            (ub,), _ = nn_bound_info(reg, [box.lo], [box.hi])
             pts = np.column_stack(
                 [rng.integers(l, h + 1, 128) for l, h in zip(box.lo, box.hi)]
             ).astype(float)
@@ -224,7 +244,7 @@ class TestNNUpperBound:
         rng = np.random.default_rng(6)
         for _ in range(100):
             p = tuple(int(v) for v in rng.integers(1, 53, 3))
-            ub, _ = nn_bound_info(reg, DomainBox(p, p))
+            (ub,), _ = nn_bound_info(reg, [p], [p])
             exact = predict_logerr(reg, np.array(p, dtype=float))
             assert ub == pytest.approx(exact, rel=1e-9, abs=1e-9)
 
@@ -346,6 +366,54 @@ class TestSolveMP:
         assert sol.config == (4, 4, 4)
 
 
+@pytest.fixture(scope="module")
+def dwt_models():
+    inp = gen_input_set("dwt", {"n": 64}, seed=0)
+    ds = build_dataset("dwt", n_samples=250, input_set=inp, seed_sample=0)
+    cfg = TrainConfig(seed=0)
+    return train_regressor(ds, cfg), train_classifier(ds, cfg)
+
+
+class TestBestFirstSearch:
+    @pytest.mark.parametrize("target", [1e-2, 5e-3, 3e-3])
+    def test_dwt_matches_enumeration(self, dwt_models, target):
+        # seven slots in a narrow box: the frontier holds many boxes at once
+        reg, clf = dwt_models
+        prob = build_problem("dwt", reg, clf, target, nbit_min=8, nbit_max=12)
+        sol = solve_mp(prob)
+        want = enumeration_optimum(prob)
+        assert want is not None and sol.config == want
+        cut_prob = build_problem("dwt", reg, clf, target, nbit_min=8, nbit_max=12, cuts=[want])
+        second = solve_mp(cut_prob)
+        assert (second.config if second else None) == enumeration_optimum(cut_prob)
+
+    @pytest.mark.parametrize("bench,target", [("dwt", 1e-3), ("dwt", 1e-6), ("saxpy", 1e-5)])
+    def test_frontier_size_keeps_the_answer(self, monkeypatch, dwt_models, saxpy_models, bench, target):
+        reg, clf = dwt_models if bench == "dwt" else saxpy_models
+        prob = build_problem(bench, reg, clf, target)
+        want = solve_mp(prob)
+        assert want is not None
+        for size in (1, 64):
+            monkeypatch.setattr(solve, "FRONTIER", size)
+            assert solve_mp(prob) == want
+
+    def test_stats_count_bounded_boxes(self, monkeypatch, dwt_models):
+        reg, clf = dwt_models
+        rows = []
+
+        def counted(model, lo, hi, *args):
+            rows.append(len(lo))
+            return nn_bound_info(model, lo, hi, *args)
+
+        monkeypatch.setattr(solve, "nn_bound_info", counted)
+        stats = solve.SearchStats()
+        solve_mp(build_problem("dwt", reg, clf, 1e-3), stats)
+        solve_mp(build_problem("dwt", reg, clf, 1e-5), stats)
+        assert stats.boxes == sum(rows) > 0
+        # boxes go to the bound in batches, at most FRONTIER at a time
+        assert max(rows) <= solve.FRONTIER and len(rows) < sum(rows)
+
+
 class TestSmartTune:
     def test_feasible_on_saxpy(self, saxpy_input, saxpy_dataset):
         res = smart_tune("saxpy", saxpy_input, 1e-3, budget=15, dataset=saxpy_dataset)
@@ -425,8 +493,37 @@ class TestSmartTune:
         assert res.actual_error > 1e-30
         assert res.samples_added == 1
         assert res.kernel_runs == 1
-        # one warm retrain after the miss; the 28 usable samples make one batch
-        assert res.adam_steps == warm_epochs(TrainConfig())
+        # the miss used up the budget, so no search would use a retrain
+        assert res.adam_steps == 0
+
+    @pytest.mark.parametrize("budget", [1, 3])
+    def test_last_miss_makes_no_retrain(self, monkeypatch, saxpy_input, budget):
+        # B misses that use up a budget of B make B - 1 retrains
+        ds = flat_dataset(35.0)
+        starts = []
+
+        def counted(dataset, cfg, start=None):
+            starts.append(start)
+            return train_regressor(dataset, cfg, start)
+
+        monkeypatch.setattr(solve, "train_regressor", counted)
+        res = smart_tune("saxpy", saxpy_input, 1e-30, budget=budget, nbit_min=4, nbit_max=6, dataset=ds)
+        assert res.status == "budget_exhausted"
+        assert res.samples_added == budget
+        # the initial fit, then one warm retrain per miss but the last
+        assert starts[0] is None
+        assert sum(start is not None for start in starts) == budget - 1 == len(starts) - 1
+
+    def test_search_boxes_counts_every_search(self, monkeypatch, saxpy_input, saxpy_dataset):
+        rows = []
+
+        def counted(model, lo, hi, *args):
+            rows.append(len(lo))
+            return nn_bound_info(model, lo, hi, *args)
+
+        monkeypatch.setattr(solve, "nn_bound_info", counted)
+        res = smart_tune("saxpy", saxpy_input, 1e-4, budget=10, dataset=saxpy_dataset)
+        assert res.search_boxes == sum(rows) > 0
 
     def test_deterministic(self, saxpy_input, saxpy_dataset):
         a = smart_tune("saxpy", saxpy_input, 1e-4, budget=10, dataset=saxpy_dataset)
