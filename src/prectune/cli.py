@@ -546,13 +546,26 @@ def cmd_snap_hw(args) -> int:
             doc = json.load(fh)
         except ValueError as exc:
             raise UsageError(f"{args.result}: not valid JSON ({exc})") from None
+    if not isinstance(doc, dict):
+        raise UsageError(f"{args.result}: not a JSON object")
     for key in ("benchmark", "config", "target", "shape", "seed_input"):
         if key not in doc:
             raise UsageError(f"{args.result}: missing field {key!r}")
+    target, shape = doc["target"], doc["shape"]
+    # bools are ints to Python; JSON's true is no number
+    for key, ok, kind in (
+        ("benchmark", isinstance(doc["benchmark"], str), "a string"),
+        ("target", type(target) in (int, float) and math.isfinite(target) and target > 0,
+         "a finite positive number"),
+        ("shape", isinstance(shape, dict) and all(type(n) is int for n in shape.values()),
+         "an object of integers"),
+        ("seed_input", type(doc["seed_input"]) is int, "an integer"),
+    ):
+        if not ok:
+            raise UsageError(f"{args.result}: {key} {doc[key]!r} is not {kind}")
     config = doc["config"]
     if config is None:
         raise UsageError(f"{args.result}: result has no config to snap")
-    # bools are ints to Python; JSON's true is no width
     if not isinstance(config, list) or not all(
         type(v) is int and MANTISSA_MIN <= v <= MANTISSA_MAX for v in config
     ):
@@ -569,10 +582,10 @@ def cmd_snap_hw(args) -> int:
 
     bench = doc["benchmark"]
     snapped = [snap_up(v) for v in config]
-    input_set = gen_input_set(bench, dict(doc["shape"]), int(doc["seed_input"]))
+    input_set = gen_input_set(bench, shape, doc["seed_input"])
     ref = reference_output(bench, input_set)
     err = compute_error(run_kernel(bench, input_set, snapped), ref)
-    target = float(doc["target"])
+    target = float(target)
     feasible = err <= target
 
     outdir = ensure_outdir(cfg)
@@ -592,7 +605,7 @@ def cmd_snap_hw(args) -> int:
             "actual_error": err,
             "feasible": feasible,
             "shape": dict(sorted(input_set.shape.items())),
-            "seed_input": int(doc["seed_input"]),
+            "seed_input": doc["seed_input"],
         },
     )
     state = "ok" if feasible else "INFEASIBLE after snapping"

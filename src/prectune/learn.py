@@ -25,11 +25,11 @@ Leaves predict the majority label, ties resolving to 1.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .dataset import Dataset, Sample
+from .dataset import Dataset
 
 
 class InsufficientDataError(ValueError):
@@ -331,19 +331,7 @@ def split_dataset(ds: Dataset, holdout_fraction: float, seed: int) -> tuple[Data
     hold_idx = set(order[:n_hold].tolist())
     train = [s for i, s in enumerate(ds.samples) if i not in hold_idx]
     hold = [s for i, s in enumerate(ds.samples) if i in hold_idx]
-
-    def mk(samples: list[Sample]) -> Dataset:
-        return Dataset(
-            benchmark=ds.benchmark,
-            nbit_lo=ds.nbit_lo,
-            nbit_hi=ds.nbit_hi,
-            seed_input=ds.seed_input,
-            seed_sample=ds.seed_sample,
-            shape=dict(ds.shape),
-            samples=samples,
-        )
-
-    return mk(train), mk(hold)
+    return replace(ds, samples=train), replace(ds, samples=hold)
 
 
 def eval_models(reg: MLPModel | None, clf: DTModel, ds: Dataset) -> dict:

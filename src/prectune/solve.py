@@ -10,8 +10,9 @@ dependency propagation empties it, when its cheapest corner cannot beat
 the incumbent, or when the regressor's upper bound over it stays below the
 required log error; the surviving boxes are bounded in one
 embed.nn_bound_info call, and their lo corners (after propagation, each
-its box's cheapest consistent config) predicted in one regressor call.  Each box is then closed or split in key order, with the
-cost prune checked again against the incumbent the boxes before it left.
+its box's cheapest consistent config) predicted in one regressor call.
+Each box is then closed or split in key order, with the cost prune checked
+again against the incumbent the boxes before it left.
 The search stops once the cheapest open box cannot beat the incumbent.
 Every prune is sound and an accepted corner closes its box, so the visit
 order cannot change the answer: acceptance at a point is exact model
@@ -23,17 +24,20 @@ smart_tune wraps the solver in a verify-retrain loop: each proposed config
 is actually run; a miss becomes a new training sample and an excluded
 config before the next round.  Then the classifier is refit from scratch,
 and the regressor retrained from its previous weights for a tenth of the
-epochs (learn.train_regressor's start model).  plus_refine then
-walks the verified config downward slot by slot with binary search,
-re-running the kernel to keep only improvements that hold up.
-fptuning_baseline applies the same descent from the all-max config without
-any models, which is the reference point for run-count comparisons.
+epochs (learn.train_regressor's start model).  One local function builds
+each of its records from the loop's ledger, the error of every config run
+(TunedResult.measured) and the misses: samples_added counts the misses,
+kernel_runs the dataset runs plus the verify runs.
 
-A descent runs each config at most once: it keeps the error of every config
-run so far, seeded with the start's verified error and, after smart_tune,
-with its verify runs (TunedResult.measured), and its result carries the
-error measured when its config was accepted, with no closing re-run.
-Every kernel_runs therefore counts distinct runs actually made.
+One verified descent, _descended, lowers a feasible result: plus_refine
+walks its config downward slot by slot with binary search, re-running the
+kernel to keep only improvements that hold up.  It reads and extends the
+result's ledger, so no config is run twice and kernel_runs counts distinct
+runs; the result carries the error measured when its config was accepted,
+and pre_refine_* the config it started from.  smart_tune_plus descends a
+feasible smart_tune result.  fptuning_baseline descends from the verified
+all-max config without any models, the reference point for run-count
+comparisons, and so does smart_tune when its first models promise nothing.
 
 Sum-of-widths ties everywhere resolve to the lexicographically smallest
 config, making every search path deterministic.
@@ -211,25 +215,6 @@ def settle_casts(cfg: list[int], edges) -> bool:
     return moved
 
 
-def complete_config(seed_values, box: DomainBox, edges) -> tuple[int, ...] | None:
-    """Cheapest dependency-consistent config at least seed_values, inside
-    the box, or None.  Assignment targets are raised and cast results
-    recomputed in turn until stable."""
-    cfg = [int(v) for v in seed_values]
-    for _ in range(len(cfg) * len(edges) + 1):
-        changed = settle_casts(cfg, edges)
-        for e in edges:
-            if e.kind != CAST and cfg[e.sources[0]] > cfg[e.destination]:
-                cfg[e.destination] = cfg[e.sources[0]]
-                changed = True
-        if not changed:
-            break
-    out = tuple(cfg)
-    if not dependency_consistent(out, edges) or not box.contains(out):
-        return None
-    return out
-
-
 def _repair_down(config: list[int], edges) -> tuple[int, ...] | None:
     """Recompute cast results after a slot was lowered; reject the repair
     if any assignment or cast constraint cannot be restored this way."""
@@ -330,11 +315,10 @@ def solve_mp(problem: TuningProblem, stats: SearchStats | None = None) -> Soluti
         return best is not None and (sum(lo), lo) >= best
 
     # a cheap, usually near-optimal incumbent makes the cost prune bite
-    # from the start
-    start = complete_config(domain.hi, domain, edges)
-    if start is not None and accepted([start])[0]:
+    # from the start; the domain's uniform hi corner satisfies every edge
+    if accepted([domain.hi])[0]:
         greedy, _ = _descend(
-            start, edges, min(domain.lo),
+            domain.hi, edges, min(domain.lo),
             lambda cfg: domain.contains(cfg) and accepted([cfg])[0],
         )
         best = (sum(greedy), greedy)
@@ -440,11 +424,11 @@ def smart_tune(
     targets on one dataset share one initial fit; ref is the kernel's
     reference output on input_set, computed here when not given."""
     t0 = time.perf_counter()
-    kernel_runs = 0
     if models is not None and dataset is None:
         raise ValueError("initial models need the dataset they were fitted on")
     if ref is None:
         ref = reference_output(benchmark, input_set)
+    dataset_runs = 0
     if dataset is None:
         dataset = build_dataset(
             benchmark,
@@ -454,18 +438,31 @@ def smart_tune(
             seed_sample=seed_sample,
             input_set=input_set,
         )
-        kernel_runs += dataset_size
+        dataset_runs = dataset_size
     else:
         dataset = replace(dataset, samples=list(dataset.samples))
     regressor, classifier = models if models is not None else fit_models(dataset, train_cfg)
 
     cuts: set[tuple[int, ...]] = set()
-    stats = SearchStats()
     measured: dict[tuple[int, ...], float] = {}
-    samples_added = 0
+    stats = SearchStats()
     adam_steps = 0
-    last_sol: Solution | None = None
-    last_err = float("inf")
+    last: Solution | None = None
+
+    def result(status: str, rounds: int) -> TunedResult:
+        return TunedResult(
+            solution=last,
+            actual_error=measured[last.config] if last is not None else float("inf"),
+            feasible=status == "feasible",
+            refinement_iterations=rounds,
+            samples_added=len(cuts),
+            kernel_runs=dataset_runs + len(measured),
+            wall_time=time.perf_counter() - t0,
+            status=status,
+            measured=measured,
+            adam_steps=adam_steps,
+            search_boxes=stats.boxes,
+        )
 
     for iteration in range(1, budget + 1):
         problem = build_problem(
@@ -478,66 +475,26 @@ def smart_tune(
             return replace(
                 base,
                 refinement_iterations=iteration,
-                kernel_runs=kernel_runs + base.kernel_runs,
+                kernel_runs=dataset_runs + base.kernel_runs,
                 wall_time=time.perf_counter() - t0,
                 status="max_descent" if base.feasible else "model_infeasible",
                 search_boxes=stats.boxes,
             )
         if sol is None:
-            return TunedResult(
-                solution=last_sol,
-                actual_error=last_err,
-                feasible=False,
-                refinement_iterations=iteration,
-                samples_added=samples_added,
-                kernel_runs=kernel_runs,
-                wall_time=time.perf_counter() - t0,
-                status="model_infeasible",
-                measured=measured,
-                adam_steps=adam_steps,
-                search_boxes=stats.boxes,
-            )
-        out = run_kernel(benchmark, input_set, sol.config)
-        kernel_runs += 1
-        err = measured[sol.config] = compute_error(out, ref)
-        last_sol, last_err = sol, err
+            return result("model_infeasible", iteration)
+        last = sol
+        err = measured[sol.config] = compute_error(run_kernel(benchmark, input_set, sol.config), ref)
         if err <= target_error:
-            return TunedResult(
-                solution=sol,
-                actual_error=err,
-                feasible=True,
-                refinement_iterations=iteration,
-                samples_added=samples_added,
-                kernel_runs=kernel_runs,
-                wall_time=time.perf_counter() - t0,
-                status="feasible",
-                measured=measured,
-                adam_steps=adam_steps,
-                search_boxes=stats.boxes,
-            )
+            return result("feasible", iteration)
         # miss: learn from it and never propose it again; the regressor
         # carries on from its last weights, the classifier is refit, unless
         # no search is left to use them
         dataset.samples.append(error_sample(sol.config, err))
-        samples_added += 1
         cuts.add(sol.config)
         if iteration < budget:
             regressor, classifier = fit_models(dataset, train_cfg, regressor)
             adam_steps += regressor.adam_steps
-
-    return TunedResult(
-        solution=last_sol,
-        actual_error=last_err,
-        feasible=False,
-        refinement_iterations=budget,
-        samples_added=samples_added,
-        kernel_runs=kernel_runs,
-        wall_time=time.perf_counter() - t0,
-        status="budget_exhausted",
-        measured=measured,
-        adam_steps=adam_steps,
-        search_boxes=stats.boxes,
-    )
+    return result("budget_exhausted", budget)
 
 
 # --- verified local descent -----------------------------------------------------
@@ -589,6 +546,28 @@ def _measured_solution(config, error: float) -> Solution:
     )
 
 
+def _descended(
+    result: TunedResult, benchmark: str, input_set: InputSet, target_error: float, nbit_min: int, ref
+) -> tuple[TunedResult, int]:
+    """A feasible result walked down by plus_refine, and the descent's
+    passes.  The descent reads and extends result.measured, so it runs no
+    config twice; kernel_runs grows by its runs, and pre_refine_* hold the
+    config it started from."""
+    start = result.solution
+    cfg, err, runs, passes = plus_refine(
+        benchmark, input_set, start.config, target_error, nbit_min, ref, result.measured
+    )
+    assert err <= target_error and sum(cfg) <= start.total_bits
+    return replace(
+        result,
+        solution=_measured_solution(cfg, err),
+        actual_error=err,
+        kernel_runs=result.kernel_runs + runs,
+        pre_refine_total_bits=start.total_bits,
+        pre_refine_error=result.actual_error,
+    ), passes
+
+
 def _descent_from_max(
     benchmark: str,
     input_set: InputSet,
@@ -598,41 +577,28 @@ def _descent_from_max(
     ref: np.ndarray,
 ) -> TunedResult:
     """Verify the all-nbit_max config and, if it meets the target, descend
-    from it; a descended result's pre_refine_* fields hold the all-max run."""
-    t0 = time.perf_counter()
-    n = get_benchmark(benchmark).n_var
-    start = (nbit_max,) * n  # uniform widths always satisfy the edges
-    out = run_kernel(benchmark, input_set, start)
-    err = compute_error(out, ref)
-    measured = {start: err}
-    if err > target_error:
-        return TunedResult(
-            solution=None,
-            actual_error=err,
-            feasible=False,
-            refinement_iterations=0,
-            samples_added=0,
-            kernel_runs=1,
-            wall_time=time.perf_counter() - t0,
-            status="infeasible_at_max",
-            measured=measured,
-        )
-    cfg, final_err, runs, passes = plus_refine(
-        benchmark, input_set, start, target_error, nbit_min, ref, measured
-    )
-    return TunedResult(
-        solution=_measured_solution(cfg, final_err),
-        actual_error=final_err,
-        feasible=final_err <= target_error,
-        refinement_iterations=passes,
+    from it, the descent's passes counted as iterations.  The callers set
+    wall_time."""
+    start = (nbit_max,) * get_benchmark(benchmark).n_var  # uniform widths always satisfy the edges
+    err = compute_error(run_kernel(benchmark, input_set, start), ref)
+    result = TunedResult(
+        solution=None,
+        actual_error=err,
+        feasible=False,
+        refinement_iterations=0,
         samples_added=0,
-        kernel_runs=runs + 1,
-        wall_time=time.perf_counter() - t0,
-        status="feasible",
-        pre_refine_total_bits=sum(start),
-        pre_refine_error=err,
-        measured=measured,
+        kernel_runs=1,
+        wall_time=0.0,
+        status="infeasible_at_max",
+        measured={start: err},
     )
+    if err > target_error:
+        return result
+    result, passes = _descended(
+        replace(result, solution=_measured_solution(start, err), feasible=True, status="feasible"),
+        benchmark, input_set, target_error, nbit_min, ref,
+    )
+    return replace(result, refinement_iterations=passes)
 
 
 def fptuning_baseline(
@@ -666,24 +632,11 @@ def smart_tune_plus(
     ref = reference_output(benchmark, input_set)
     result = smart_tune(benchmark, input_set, target_error, ref=ref, **kwargs)
     # a max_descent result has been through the same descent already
-    if not result.feasible or result.solution is None or result.status == "max_descent":
+    if result.status != "feasible":
         return result
     nbit_min = kwargs.get("nbit_min", MANTISSA_MIN)
-    cfg, final_err, runs, _ = plus_refine(
-        benchmark, input_set, result.solution.config, target_error, nbit_min, ref,
-        result.measured,
-    )
-    assert final_err <= target_error
-    assert sum(cfg) <= result.solution.total_bits
-    return replace(
-        result,
-        solution=_measured_solution(cfg, final_err),
-        actual_error=final_err,
-        kernel_runs=result.kernel_runs + runs,
-        wall_time=time.perf_counter() - t0,
-        pre_refine_total_bits=result.solution.total_bits,
-        pre_refine_error=result.actual_error,
-    )
+    result, _ = _descended(result, benchmark, input_set, target_error, nbit_min, ref)
+    return replace(result, wall_time=time.perf_counter() - t0)
 
 
 # --- ground truth for small problems ----------------------------------------------

@@ -465,6 +465,28 @@ class TestSnapHwCommand:
         assert run("snap-hw", "--result", str(path), "--out", str(tmp_path)) == EXIT_USAGE
 
 
+    @pytest.mark.parametrize("field,value", [
+        ("benchmark", None), ("benchmark", 3),
+        ("target", None), ("target", True), ("target", "0.1"), ("target", 0), ("target", -1e-3),
+        ("target", float("inf")), ("target", float("nan")),
+        ("shape", None), ("shape", [64]), ("shape", {"n": "64"}), ("shape", {"n": True}), ("shape", {"n": 64.0}),
+        ("seed_input", None), ("seed_input", True), ("seed_input", 0.0), ("seed_input", "0"),
+    ])
+    def test_malformed_field_rejected(self, tmp_path, capsys, field, value):
+        doc = {"benchmark": "saxpy", "config": [5, 9, 5], "target": 1e-1, "shape": {"n": 64}, "seed_input": 0}
+        path = tmp_path / "result.json"
+        path.write_text(json.dumps({**doc, field: value}))
+        assert run("snap-hw", "--result", str(path), "--out", str(tmp_path)) == EXIT_USAGE
+        assert f"{field} " in capsys.readouterr().err
+        assert not (tmp_path / "result_snapped.json").exists()
+
+    def test_non_object_rejected(self, tmp_path, capsys):
+        path = tmp_path / "result.json"
+        path.write_text(json.dumps([{"benchmark": "saxpy"}]))
+        assert run("snap-hw", "--result", str(path), "--out", str(tmp_path)) == EXIT_USAGE
+        assert "not a JSON object" in capsys.readouterr().err
+
+
 class TestOracleCommand:
     def test_small_box(self, tmp_path):
         rc = run("oracle", "--benchmark", "saxpy", "--target", "1e-1",

@@ -10,7 +10,9 @@ stands, loading spans.py unchanged.
 import importlib.util
 from pathlib import Path
 
-from prectune import kernels, solve
+import pytest
+
+from prectune import cli, kernels, solve
 from prectune.dataset import build_dataset
 from prectune.kernels import gen_input_set
 from prectune.learn import TrainConfig
@@ -66,3 +68,39 @@ def test_traced_retrains_record_one_fit_span_each():
     retrains = result.samples_added - (result.status == "budget_exhausted")
     assert fits == 1 + retrains
     assert result.adam_steps > 0
+
+
+RUN_PATH = SPANS_PATH.with_name("run.py")
+
+
+def load_run():
+    spec = importlib.util.spec_from_file_location("perfbench_run", RUN_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("mode,tuner", [
+    ("smart", "smart_tune"), ("smart_plus", "smart_tune_plus"), ("baseline", "fptuning_baseline"),
+])
+def test_tune_calls_one_timed_tuner_per_target(monkeypatch, tmp_path, mode, tuner):
+    # perfbench's result_s times each target through the cli attributes
+    # named in run.TUNERS, so tune must call exactly one of them per target
+    tuners = load_run().TUNERS
+    assert tuner in tuners
+    calls = []
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        return call
+
+    for name in tuners:
+        monkeypatch.setattr(cli, name, counted(name, getattr(cli, name)))
+    rc = cli.main(["tune", "--benchmark", "saxpy", "--mode", mode, "--target", "1e-1,1e-3,1e-5",
+                   "--shape", "n=64", "--dataset-size", "60", "--epochs", "5", "--budget", "3",
+                   "--out", str(tmp_path)])
+    assert rc in (cli.EXIT_OK, cli.EXIT_INFEASIBLE)
+    assert calls == [tuner] * 3

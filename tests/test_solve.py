@@ -30,7 +30,6 @@ from prectune.solve import (
     BRUTE_FORCE_CAP,
     brute_force_optimum,
     build_problem,
-    complete_config,
     dependency_consistent,
     fptuning_baseline,
     free_dims,
@@ -164,7 +163,6 @@ class TestDependencyHelpers:
             if tight is None:
                 continue
             assert dependency_consistent(tight.lo, edges)
-            assert complete_config(tight.lo, tight, edges) == tight.lo
             checked += 1
         assert checked > 0
 
@@ -177,42 +175,6 @@ class TestDependencyHelpers:
         assert cfg == [5, 7, 5, 9, 5] and dependency_consistent(cfg, edges)
         assert settle_casts(cfg, edges) is False
         assert cfg == [5, 7, 5, 9, 5]
-
-    def test_complete_config_saxpy(self):
-        edges = dependency_graph("saxpy")
-        box = DomainBox((1, 1, 1), (52, 52, 52))
-        assert complete_config((4, 7, 1), box, edges) == (4, 7, 4)
-        assert complete_config((10, 2, 1), box, edges) == (10, 2, 2)
-        assert complete_config((9, 1, 1), DomainBox((1, 1, 1), (8, 8, 8)), edges) is None
-
-    def test_complete_config_chain(self):
-        edges = dependency_graph("dwt")
-        box = DomainBox((1,) * 7, (52,) * 7)
-        assert complete_config((7, 1, 1, 1, 1, 1, 1), box, edges) == (7,) * 7
-        assert complete_config((1, 1, 1, 9, 1, 1, 1), box, edges) == (1, 1, 1, 9, 1, 9, 9)
-
-    def test_cheapest_completion_is_least(self):
-        # nothing consistent in the box sits below the completion of box.lo
-        rng = np.random.default_rng(11)
-        edges = dependency_graph("saxpy")
-        for _ in range(60):
-            a = rng.integers(1, 10, 3)
-            b = rng.integers(1, 10, 3)
-            box = DomainBox(tuple(np.minimum(a, b).tolist()), tuple(np.maximum(a, b).tolist()))
-            cand = complete_config(box.lo, box, edges)
-            consistent = [
-                cfg
-                for cfg in itertools.product(*(range(l, h + 1) for l, h in zip(box.lo, box.hi)))
-                if dependency_consistent(cfg, edges)
-            ]
-            if cand is None:
-                # no dominated witness claimed; the box may still hold
-                # consistent configs whose completion left the box
-                continue
-            assert dependency_consistent(cand, edges)
-            assert box.contains(cand)
-            for cfg in consistent:
-                assert all(x >= y for x, y in zip(cfg, cand))
 
 
 class TestNNUpperBound:
@@ -717,6 +679,55 @@ class TestHonestRunCounts:
             assert res.status == "max_descent"
             self.assert_honest(made, res.kernel_runs)
             assert res.actual_error == res.measured[res.solution.config] <= target
+
+
+    BOX = {"nbit_min": 4, "nbit_max": 6}
+
+    # (status, tuner, target, keyword arguments, misses when the case fixes them)
+    @pytest.mark.parametrize("status,tune,target,kwargs,fixed_misses", [
+        pytest.param("feasible", smart_tune, 1e-4, {"budget": 15, "dataset": "saxpy_dataset"}, None,
+                     id="feasible"),
+        pytest.param("feasible", smart_tune_plus, 1e-4, {"budget": 15, "dataset": "saxpy_dataset"}, None,
+                     id="plus-feasible"),
+        pytest.param("feasible", fptuning_baseline, 1e-4, {}, 0, id="baseline-feasible"),
+        pytest.param("max_descent", smart_tune, 1e-3, {"budget": 5, "dataset": flat_dataset(2.0), **BOX}, 0,
+                     id="max_descent"),
+        pytest.param("budget_exhausted", smart_tune, 1e-30, {"budget": 1, "dataset": flat_dataset(35.0), **BOX}, 1,
+                     id="budget_exhausted"),
+        pytest.param("infeasible_at_max", fptuning_baseline, 1e-20, {"nbit_max": 8}, 0, id="infeasible_at_max"),
+        pytest.param("model_infeasible", smart_tune, 1e-10, {"budget": 5, "dataset": flat_dataset(2.0), **BOX}, 0,
+                     id="model_infeasible-round1"),
+        # the one config of the box misses, and round 2 has nothing left
+        pytest.param("model_infeasible", smart_tune, 1e-30,
+                     {"budget": 5, "dataset": flat_dataset(35.0), "nbit_min": 4, "nbit_max": 4}, 1,
+                     id="model_infeasible-after-miss"),
+    ])
+    def test_result_invariants(self, request, monkeypatch, made, saxpy_input, status, tune, target, kwargs,
+                               fixed_misses):
+        proposed = []
+
+        def search(problem, stats=None):
+            proposed.append(solve_mp(problem, stats))
+            return proposed[-1]
+
+        monkeypatch.setattr(solve, "solve_mp", search)
+        if isinstance(kwargs.get("dataset"), str):
+            kwargs = {**kwargs, "dataset": request.getfixturevalue(kwargs["dataset"])}
+        res = tune("saxpy", saxpy_input, target, **kwargs)
+        assert res.status == status
+        assert res.feasible == (res.actual_error <= target)
+        self.assert_honest(made, res.kernel_runs)
+        ref = reference_output("saxpy", saxpy_input)
+
+        def error(cfg):
+            return compute_error(run_kernel("saxpy", saxpy_input, cfg), ref)
+
+        # a miss is a model proposal that the kernel run refutes
+        misses = sum(error(sol.config) > target for sol in proposed if sol is not None)
+        assert res.samples_added == misses
+        assert fixed_misses is None or misses == fixed_misses
+        if res.solution is not None:
+            assert res.actual_error == res.measured[res.solution.config] == error(res.solution.config)
 
 
 class TestBruteForce:
