@@ -32,7 +32,7 @@ from .dataset import Dataset, build_dataset, compute_error, load_dataset, refere
 from .flexnum import MANTISSA_MAX, MANTISSA_MIN
 from .kernels import InputSet, gen_input_set, list_benchmarks, run_kernel
 from .learn import TrainConfig, eval_models, save_classifier, save_regressor, split_dataset
-from .solve import brute_force_optimum, fit_models, fptuning_baseline, smart_tune, smart_tune_plus
+from .solve import brute_force_optimum, fit_models, fptuning_baseline, new_ledger, smart_tune, smart_tune_plus
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 1
@@ -194,6 +194,11 @@ def make_run_config(args) -> RunConfig:
         values["shape"] = {**values.get("shape", {}), **parse_shape_items(args.shape)}
 
     cfg = RunConfig(**values)
+    seen = set()
+    for target in cfg.targets:
+        if target in seen:
+            raise UsageError(f"target {target_slug(target)} is given more than once")
+        seen.add(target)
     if not MANTISSA_MIN <= cfg.nbit_min <= cfg.nbit_max <= MANTISSA_MAX:
         raise UsageError(
             f"nbit_min/nbit_max [{cfg.nbit_min}, {cfg.nbit_max}] outside"
@@ -235,9 +240,10 @@ def run_input_set(cfg: RunConfig, bench: str, offset: int = 0) -> InputSet:
     return gen_input_set(bench, cfg.shape or None, cfg.seed_input + offset)
 
 
-def run_dataset(cfg: RunConfig, bench: str, input_set: InputSet) -> Dataset:
+def run_dataset(cfg: RunConfig, bench: str, input_set: InputSet, ref=None) -> Dataset:
     """A fresh dataset of cfg.dataset_size samples over the run's width box,
-    drawn with its sample seed and measured on input_set."""
+    drawn with its sample seed and measured on input_set, against ref when
+    its reference output is at hand."""
     return build_dataset(
         bench,
         n_samples=cfg.dataset_size,
@@ -245,6 +251,7 @@ def run_dataset(cfg: RunConfig, bench: str, input_set: InputSet) -> Dataset:
         nbit_hi=cfg.nbit_max,
         seed_sample=cfg.seed_sample,
         input_set=input_set,
+        ref=ref,
     )
 
 
@@ -292,7 +299,12 @@ def csv_text(cfg: RunConfig, header, rows) -> str:
 
 
 def target_slug(target: float) -> str:
-    return f"{target:g}".replace("e-0", "e-").replace("e+0", "e+")
+    """The target as file names and CSV rows spell it: the short %g form
+    where that reads back as the same number, repr otherwise, so that
+    distinct targets never share a name."""
+    short = f"{target:g}"
+    text = short if float(short) == target else repr(target)
+    return text.replace("e-0", "e-").replace("e+0", "e+")
 
 
 def ensure_outdir(cfg: RunConfig) -> str:
@@ -352,14 +364,18 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _run_method(cfg: RunConfig, bench, input_set, target, dataset, models):
+def _run_method(cfg: RunConfig, bench, input_set, target, dataset, models, ref, measured):
+    """One tuner call; ref is input_set's reference output and measured its
+    run ledger, shared by every call on input_set."""
     if cfg.mode == "baseline":
-        return fptuning_baseline(bench, input_set, target, cfg.nbit_min, cfg.nbit_max)
+        return fptuning_baseline(bench, input_set, target, cfg.nbit_min, cfg.nbit_max, ref, measured)
     runner = smart_tune if cfg.mode == "smart" else smart_tune_plus
     return runner(
         bench,
         input_set,
         target,
+        ref=ref,
+        measured=measured,
         budget=cfg.budget,
         nbit_min=cfg.nbit_min,
         nbit_max=cfg.nbit_max,
@@ -376,6 +392,9 @@ def cmd_tune(args) -> int:
     bench = single_benchmark(cfg)
     outdir = ensure_outdir(cfg)
     input_set = run_input_set(cfg, bench)
+    # one reference run and one run ledger for the dataset and all the targets
+    ref = reference_output(bench, input_set)
+    measured = new_ledger(bench, ref)
 
     dataset = None
     models = None
@@ -385,7 +404,7 @@ def cmd_tune(args) -> int:
             dataset = load_run_dataset(args.dataset, bench, input_set)
             cfg = with_dataset_seeds(cfg, dataset)
         else:
-            dataset = run_dataset(cfg, bench, input_set)
+            dataset = run_dataset(cfg, bench, input_set, ref)
             dataset_runs = len(dataset.samples)
         # every target starts from the same fit on the same dataset
         models = fit_models(dataset, cfg.train_config())
@@ -393,7 +412,7 @@ def cmd_tune(args) -> int:
     rows = []
     all_feasible = True
     for target in cfg.targets:
-        result = _run_method(cfg, bench, input_set, target, dataset, models)
+        result = _run_method(cfg, bench, input_set, target, dataset, models, ref, measured)
         sol = result.solution
         feasible = bool(result.feasible)
         all_feasible = all_feasible and feasible
@@ -495,7 +514,10 @@ def cmd_transfer(args) -> int:
     for bench in benches:
         first, *others = [run_input_set(cfg, bench, i) for i in range(n_inputs)]
         refs = [reference_output(bench, inp) for inp in others]
-        dataset = run_dataset(cfg, bench, first)
+        # both methods tune on the first input set, through one ledger
+        ref = reference_output(bench, first)
+        measured = new_ledger(bench, ref)
+        dataset = run_dataset(cfg, bench, first, ref)
         models = fit_models(dataset, cfg.train_config())
 
         def violation_pct(result, target) -> float:
@@ -511,8 +533,8 @@ def cmd_transfer(args) -> int:
             return 100.0 * misses / len(others)
 
         for target in cfg.targets:
-            smart = _run_method(smart_cfg, bench, first, target, dataset, models)
-            base = _run_method(base_cfg, bench, first, target, None, None)
+            smart = _run_method(smart_cfg, bench, first, target, dataset, models, ref, measured)
+            base = _run_method(base_cfg, bench, first, target, None, None, ref, measured)
             pct_smart = violation_pct(smart, target)
             pct_base = violation_pct(base, target)
             rows.append(

@@ -137,11 +137,16 @@ def build_dataset(
     seed_input: int = 0,
     seed_sample: int = 0,
     input_set: InputSet | None = None,
+    ref: np.ndarray | None = None,
 ) -> Dataset:
+    """n_samples configs drawn over [nbit_lo, nbit_hi] and their errors on
+    input_set (made from shape and seed_input when not given), measured
+    against ref, its reference output, computed here when not given."""
     desc = get_benchmark(benchmark)
     if input_set is None:
         input_set = gen_input_set(benchmark, shape, seed_input)
-    ref = reference_output(benchmark, input_set)
+    if ref is None:
+        ref = reference_output(benchmark, input_set)
     configs = lhs_configs(n_samples, desc.n_var, nbit_lo, nbit_hi, seed_sample)
     values = sum(np.size(a) for a in input_set.arrays.values())
     step = max(1, BATCH_ELEMENTS // values)

@@ -22,17 +22,20 @@ since the add can carry a payload into the sign bit or clear it.  Narrower
 exponent fields take the general path: scale by the frexp exponent so that
 the grid spacing becomes one, rint, scale back and test for overflow.
 
-A FormatBatch gives one width per row of an array's leading axis, all with
-11 exponent bits, so one call rounds the same value of many configs at
-once on the bit path.
+A FormatBatch gives one width per entry of an array's leading axes, all
+with 11 exponent bits, so one call rounds the same value of many configs
+at once on the bit path.  With 1-d widths each row of the leading axis
+has its own format; with (B, k) widths each (row, column) of the two
+leading axes has one, which lets a kernel round values of k slots stacked
+along axis 1 in one call.
 
 The bit-path constants are worked out once per format, not per call: a
 FlexFormat takes them at construction, as 0-d uint64 arrays (numpy
 scalars cost more per ufunc call), and a FormatBatch works out its
-columns, shaped to broadcast along an array's leading axis, once for each
-array rank it meets.  A call then pays for asarray, the bit ops and the
-NaN guard alone, which matters because kernels round a few hundred values
-per call.
+columns, shaped to broadcast over the axes after its widths' own, once
+for each array rank it meets.  A call then pays for asarray, the bit ops
+and the NaN guard alone, which matters because kernels round a few
+hundred values per call.
 """
 
 from __future__ import annotations
@@ -60,6 +63,8 @@ _BIT_TABLE = np.array(
 )
 # the same rows as 0-d arrays, which a FlexFormat takes at construction
 _BIT_ROWS = [tuple(np.array(c) for c in row) for row in _BIT_TABLE]
+# and its columns, which a FormatBatch indexes with its widths
+_BIT_COLUMNS = _BIT_TABLE.T.copy()
 
 
 @dataclass(frozen=True)
@@ -119,21 +124,23 @@ BINARY64 = FlexFormat(52, 11)
 
 @dataclass(frozen=True, eq=False)
 class FormatBatch:
-    """One format per row of a batch: row i of an array's leading axis is
-    rounded to FlexFormat(mantissa_bits[i], 11).  mantissa_bits is a
-    read-only copy of the widths given, which must have an integer dtype."""
+    """One format per entry of an array's leading axes: with widths of
+    shape S, x[i] for an index i into S is rounded to
+    FlexFormat(mantissa_bits[i], 11), and x.shape must start with S.
+    mantissa_bits is a read-only copy of the widths given, which must have
+    an integer dtype."""
 
     mantissa_bits: np.ndarray
-    # array rank -> _BIT_TABLE's columns, shaped (B, 1, ..., 1) to that rank
+    # array rank -> _BIT_TABLE's columns, shaped S + (1, ..., 1) to that rank
     _columns: dict = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self) -> None:
         m = np.array(self.mantissa_bits)
-        if m.ndim != 1 or not m.size:
-            raise ValueError(f"a format batch needs a 1-d array of widths, got shape {m.shape}")
+        if m.ndim < 1 or not m.size:
+            raise ValueError(f"a format batch needs a non-empty array of widths, got shape {m.shape}")
         if m.dtype.kind not in "iu":
             raise ValueError(f"a format batch needs integer widths, got dtype {m.dtype}")
-        m = m.astype(np.int64)
+        m = m.astype(np.int64, copy=False)
         # the narrowest and widest rows stand for all of them
         FlexFormat(int(m.min()))
         FlexFormat(int(m.max()))
@@ -141,12 +148,13 @@ class FormatBatch:
         object.__setattr__(self, "mantissa_bits", m)
 
     def columns(self, ndim: int) -> tuple:
-        """The bit-path constants of every row, broadcastable against an
-        array of rank ndim whose leading axis is the batch."""
+        """The bit-path constants of every entry, broadcastable against an
+        array of rank ndim whose leading axes are the widths' own."""
         cols = self._columns.get(ndim)
         if cols is None:
-            shape = (-1,) + (1,) * (ndim - 1)
-            cols = tuple(c.reshape(shape) for c in _BIT_TABLE[self.mantissa_bits].T)
+            m = self.mantissa_bits
+            shape = m.shape + (1,) * (ndim - m.ndim)
+            cols = tuple(c[m].reshape(shape) for c in _BIT_COLUMNS)
             self._columns[ndim] = cols
         return cols
 
@@ -193,15 +201,16 @@ def round_to_format(x, fmt: FlexFormat | FormatBatch):
     Finite values whose rounded magnitude exceeds fmt's largest finite
     value overflow to +/-inf.  Accepts scalars or arrays; returns a float
     for scalar input and a new ndarray otherwise.  A FormatBatch rounds
-    each row of x's leading axis to its own format.
+    each entry of x's leading axes to its own format.
     """
     arr = np.asarray(x, dtype=_F64)
     scalar = arr.ndim == 0
     if scalar:
         arr = arr.reshape(1)
     if isinstance(fmt, FormatBatch):
-        if scalar or arr.shape[0] != fmt.mantissa_bits.size:
-            raise ValueError(f"{fmt.mantissa_bits.size} formats for an array of shape {np.shape(x)}")
+        lead = fmt.mantissa_bits.shape
+        if scalar or arr.shape[: len(lead)] != lead:
+            raise ValueError(f"formats of shape {lead} for an array of shape {np.shape(x)}")
         out = _round_bits(arr, *fmt.columns(arr.ndim))
     elif fmt._bits is None:
         out = _round_frexp(arr, fmt)

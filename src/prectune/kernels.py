@@ -50,6 +50,26 @@ slot's rounding is one round_to_format call over the whole batch, with a
 FormatBatch when the configs disagree on that slot's width.  Every
 operation is elementwise along the config axis, so row i of a batch is
 bit for bit the run of config i alone.
+
+A sequential run rounds a few hundred values per call, so the number of
+calls sets its cost, and the runners make fewer of them in two ways.
+
+  * Stacked slots.  rnd(slots, value) with a tuple of k slots rounds a
+    value whose axis 1 stacks those slots, entry i at slots[i], in one
+    call.  jacobi stacks its four neighbor differences and its two pair
+    sums; correlation keeps cov and var side by side in one accumulator,
+    a slot per value.  The group rounds with one plain format when every
+    config gives every slot of it the same width, as a dependency-
+    consistent config does for jacobi's groups, which are casts of one
+    grid slot, and otherwise with a FormatBatch of the (B, k) widths.
+    Either is resolved once per run_kernel call.
+  * Product blocks.  correlation's dev_j dev_j outer products and squares
+    do not depend on the sums they feed, so those of a block of points,
+    about _PRODUCT_BLOCK values, are rounded in one call each; only the
+    accumulation runs point by point.
+
+Each value is still rounded once, at its own slot's width, after the same
+binary64 operation, so the bits are those of one call per slot and point.
 """
 
 from __future__ import annotations
@@ -193,15 +213,20 @@ def run_kernel(name: str, input_set: InputSet, config) -> np.ndarray:
     if bad.size:
         raise ConfigError(f"{name}: mantissa width {bad[0]} outside [{MANTISSA_MIN}, {MANTISSA_MAX}]")
     batch = widths.shape[0]
-    # a slot every config gives the same width rounds with one plain format
-    uniform = (widths == widths[0]).all(axis=0)
-    fmts = [
-        FlexFormat(int(w), EXPONENT_BITS) if same else FormatBatch(col)
-        for w, same, col in zip(widths[0], uniform, widths.T)
-    ]
 
-    def rnd(slot, value):
-        return round_to_format(value, fmts[slot])
+    def resolve(slots):
+        # one plain format where every (config, slot) width agrees
+        w = widths[:, slots]
+        return FlexFormat(int(w.flat[0]), EXPONENT_BITS) if (w == w.flat[0]).all() else FormatBatch(w)
+
+    # slot or group of slots -> its format, each resolved once per call
+    fmts = {slot: resolve(slot) for slot in range(desc.n_var)}
+
+    def rnd(slots, value):
+        fmt = fmts.get(slots)
+        if fmt is None:
+            fmt = fmts[slots] = resolve(list(slots))
+        return round_to_format(value, fmt)
 
     def load(slot, value):
         return rnd(slot, np.broadcast_to(value, (batch, *np.shape(value))))
@@ -390,6 +415,11 @@ def _gen_correlation(shape, rng):
     return {"series": rng.uniform(0.1, 10.0, (s, t))}
 
 
+# values per block of hoisted correlation products: a 32-config batch of
+# 16 series keeps one point per block, a single run about 15
+_PRODUCT_BLOCK = 4096
+
+
 def _outer(a, b):
     """Outer product of the last axes, batched over the leading ones."""
     return a[..., :, None] * b[..., None, :]
@@ -403,14 +433,20 @@ def _run_correlation(inp, rnd, load):
         acc = rnd(1, acc + data[..., j])
     mean = rnd(1, acc / t)
     dev = rnd(2, data - mean[..., None])
-    cov = np.zeros((batch, s, s))
-    for j in range(t):
-        cov = rnd(3, cov + rnd(3, _outer(dev[..., j], dev[..., j])))
-    cov = rnd(3, cov / t)
-    var = np.zeros((batch, s))
-    for j in range(t):
-        var = rnd(4, var + rnd(4, dev[..., j] * dev[..., j]))
-    var = rnd(4, var / t)
+    del data  # a batch's copy of the inputs, not needed past here
+    # cov (s*s values, slot 3) and var (s values, slot 4) accumulate side
+    # by side in one array, rounded as one group of per-value slots
+    sums = (3,) * (s * s) + (4,) * s
+    tot = np.zeros((batch, s * s + s))
+    block = max(1, _PRODUCT_BLOCK // (batch * len(sums)))
+    for j0 in range(0, t, block):
+        d = dev[..., j0 : j0 + block].swapaxes(1, 2)  # (batch, points, s)
+        terms = np.concatenate([rnd(3, _outer(d, d).reshape(batch, -1, s * s)), rnd(4, d * d)], axis=2)
+        for k in range(terms.shape[1]):
+            tot = rnd(sums, tot + terms[:, k])
+    tot = rnd(sums, tot / t)
+    cov = tot[:, : s * s].reshape(batch, s, s)
+    var = tot[:, s * s :]
     std = rnd(5, np.sqrt(var))
     denom = rnd(6, _outer(std, std))
     return rnd(6, cov / denom)
@@ -546,13 +582,13 @@ def _gen_jacobi(shape, rng):
 
 def _jacobi_half_step(u, dst, dst_slot, base, alpha, src, rnd):
     c = u[..., 1:-1, 1:-1]
-    dn = rnd(base + 0, u[..., :-2, 1:-1] - c)
-    ds = rnd(base + 1, u[..., 2:, 1:-1] - c)
-    dw = rnd(base + 2, u[..., 1:-1, :-2] - c)
-    de = rnd(base + 3, u[..., 1:-1, 2:] - c)
-    sv = rnd(base + 4, dn + ds)
-    sh = rnd(base + 5, dw + de)
-    lap = rnd(base + 6, sv + sh)
+    # the four neighbor differences (dn, ds, dw, de) stacked along axis 1,
+    # then the two pair sums (sv = dn + ds, sh = dw + de)
+    d = np.stack([u[..., :-2, 1:-1], u[..., 2:, 1:-1], u[..., 1:-1, :-2], u[..., 1:-1, 2:]], axis=1)
+    d -= c[:, None]
+    d = rnd((base, base + 1, base + 2, base + 3), d)
+    pair = rnd((base + 4, base + 5), d[:, 0::2] + d[:, 1::2])
+    lap = rnd(base + 6, pair[:, 0] + pair[:, 1])
     diff = rnd(base + 7, alpha * lap)
     new = rnd(base + 8, c + diff)
     tot = rnd(base + 9, new + src[..., 1:-1, 1:-1])

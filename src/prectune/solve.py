@@ -25,19 +25,27 @@ is actually run; a miss becomes a new training sample and an excluded
 config before the next round.  Then the classifier is refit from scratch,
 and the regressor retrained from its previous weights for a tenth of the
 epochs (learn.train_regressor's start model).  One local function builds
-each of its records from the loop's ledger, the error of every config run
-(TunedResult.measured) and the misses: samples_added counts the misses,
-kernel_runs the dataset runs plus the verify runs.
+each of its records from the run ledger and the misses: samples_added
+counts the misses, kernel_runs the dataset runs plus the verify runs.
+
+The run ledger (TunedResult.measured) maps each config run on one input
+set to its error.  Every kernel run of a tuner goes through it
+(_run_error): a config already in it is read, not run again, and a new
+run is entered.  A tuner call makes a fresh ledger unless it is given one,
+and the tune command gives one ledger to all its calls on an input set,
+seeded by new_ledger with the reference run itself (the all-MANTISSA_MAX
+config), so that no config runs twice in a whole tune; each record's
+kernel_runs counts the runs its own call added.
 
 One verified descent, _descended, lowers a feasible result: plus_refine
 walks its config downward slot by slot with binary search, re-running the
 kernel to keep only improvements that hold up.  It reads and extends the
-result's ledger, so no config is run twice and kernel_runs counts distinct
-runs; the result carries the error measured when its config was accepted,
-and pre_refine_* the config it started from.  smart_tune_plus descends a
-feasible smart_tune result.  fptuning_baseline descends from the verified
-all-max config without any models, the reference point for run-count
-comparisons, and so does smart_tune when its first models promise nothing.
+result's ledger; the result carries the error measured when its config
+was accepted, and pre_refine_* the config it started from.
+smart_tune_plus descends a feasible smart_tune result.  fptuning_baseline
+descends from the verified all-max config without any models, the
+reference point for run-count comparisons, and so does smart_tune when its
+first models promise nothing.
 
 Sum-of-widths ties everywhere resolve to the lexicographically smallest
 config, making every search path deterministic.
@@ -99,8 +107,9 @@ class TunedResult:
     # descent started from
     pre_refine_total_bits: int | None = None
     pre_refine_error: float | None = None
-    # config -> error of every verify and descent run this call made, so
-    # that a later descent never runs one of them again
+    # the run ledger the call read and extended: config -> error of every
+    # config run on its input set, by this call or by any other call given
+    # the same ledger, so that no config is run twice
     measured: dict = field(default_factory=dict, repr=False)
     # Adam updates made by the regressor retrains after misses
     adam_steps: int = 0
@@ -132,6 +141,20 @@ def build_problem(
         edges=dependency_graph(benchmark),
         cuts=frozenset(tuple(int(v) for v in c) for c in cuts),
     )
+
+
+def new_ledger(benchmark: str, ref: np.ndarray) -> dict:
+    """A run ledger for the tuner calls on the input set whose reference
+    output is ref.  ref is the run of the all-MANTISSA_MAX config, so that
+    config's error is entered without a run."""
+    return {(MANTISSA_MAX,) * get_benchmark(benchmark).n_var: compute_error(ref, ref)}
+
+
+def _run_error(benchmark: str, input_set: InputSet, config: tuple[int, ...], ref, measured: dict) -> float:
+    """config's error, read from the ledger measured or run and entered."""
+    if config not in measured:
+        measured[config] = compute_error(run_kernel(benchmark, input_set, config), ref)
+    return measured[config]
 
 
 # --- dependency handling ------------------------------------------------------
@@ -406,6 +429,7 @@ def smart_tune(
     train_cfg: TrainConfig = TrainConfig(),
     models: tuple[MLPModel, DTModel] | None = None,
     ref: np.ndarray | None = None,
+    measured: dict | None = None,
 ) -> TunedResult:
     """Propose-verify-retrain until a config really meets the target.
 
@@ -422,7 +446,9 @@ def smart_tune(
     extend a private copy.  models, when given, is
     the pair fit_models(dataset, train_cfg) returns, so that several
     targets on one dataset share one initial fit; ref is the kernel's
-    reference output on input_set, computed here when not given."""
+    reference output on input_set, computed here when not given, and
+    measured the run ledger of input_set, a fresh one when not given.
+    kernel_runs counts only the runs this call adds to the ledger."""
     t0 = time.perf_counter()
     if models is not None and dataset is None:
         raise ValueError("initial models need the dataset they were fitted on")
@@ -437,6 +463,7 @@ def smart_tune(
             nbit_hi=nbit_max,
             seed_sample=seed_sample,
             input_set=input_set,
+            ref=ref,
         )
         dataset_runs = dataset_size
     else:
@@ -444,7 +471,9 @@ def smart_tune(
     regressor, classifier = models if models is not None else fit_models(dataset, train_cfg)
 
     cuts: set[tuple[int, ...]] = set()
-    measured: dict[tuple[int, ...], float] = {}
+    if measured is None:
+        measured = {}
+    known = len(measured)
     stats = SearchStats()
     adam_steps = 0
     last: Solution | None = None
@@ -456,7 +485,7 @@ def smart_tune(
             feasible=status == "feasible",
             refinement_iterations=rounds,
             samples_added=len(cuts),
-            kernel_runs=dataset_runs + len(measured),
+            kernel_runs=dataset_runs + len(measured) - known,
             wall_time=time.perf_counter() - t0,
             status=status,
             measured=measured,
@@ -471,7 +500,7 @@ def smart_tune(
         sol = solve_mp(problem, stats)
         if sol is None and iteration == 1:
             # no verify run yet to learn from: ask the kernel, not the models
-            base = _descent_from_max(benchmark, input_set, target_error, nbit_min, nbit_max, ref)
+            base = _descent_from_max(benchmark, input_set, target_error, nbit_min, nbit_max, ref, measured)
             return replace(
                 base,
                 refinement_iterations=iteration,
@@ -483,7 +512,7 @@ def smart_tune(
         if sol is None:
             return result("model_infeasible", iteration)
         last = sol
-        err = measured[sol.config] = compute_error(run_kernel(benchmark, input_set, sol.config), ref)
+        err = _run_error(benchmark, input_set, sol.config, ref, measured)
         if err <= target_error:
             return result("feasible", iteration)
         # miss: learn from it and never propose it again; the regressor
@@ -526,13 +555,11 @@ def plus_refine(
         errors = {}
     known = len(errors)
 
-    def measured(cfg) -> float:
-        if cfg not in errors:
-            errors[cfg] = compute_error(run_kernel(benchmark, input_set, cfg), ref)
-        return errors[cfg]
+    def error(cfg) -> float:
+        return _run_error(benchmark, input_set, cfg, ref, errors)
 
-    cfg, passes = _descend(config, edges, nbit_min, lambda c: measured(c) <= target_error)
-    return cfg, measured(cfg), len(errors) - known, passes
+    cfg, passes = _descend(config, edges, nbit_min, lambda c: error(c) <= target_error)
+    return cfg, error(cfg), len(errors) - known, passes
 
 
 def _measured_solution(config, error: float) -> Solution:
@@ -575,22 +602,24 @@ def _descent_from_max(
     nbit_min: int,
     nbit_max: int,
     ref: np.ndarray,
+    measured: dict,
 ) -> TunedResult:
-    """Verify the all-nbit_max config and, if it meets the target, descend
-    from it, the descent's passes counted as iterations.  The callers set
-    wall_time."""
+    """Verify the all-nbit_max config through the ledger measured and, if
+    it meets the target, descend from it, the descent's passes counted as
+    iterations.  The callers set wall_time."""
     start = (nbit_max,) * get_benchmark(benchmark).n_var  # uniform widths always satisfy the edges
-    err = compute_error(run_kernel(benchmark, input_set, start), ref)
+    known = len(measured)
+    err = _run_error(benchmark, input_set, start, ref, measured)
     result = TunedResult(
         solution=None,
         actual_error=err,
         feasible=False,
         refinement_iterations=0,
         samples_added=0,
-        kernel_runs=1,
+        kernel_runs=len(measured) - known,
         wall_time=0.0,
         status="infeasible_at_max",
-        measured={start: err},
+        measured=measured,
     )
     if err > target_error:
         return result
@@ -607,11 +636,17 @@ def fptuning_baseline(
     target_error: float,
     nbit_min: int = MANTISSA_MIN,
     nbit_max: int = MANTISSA_MAX,
+    ref: np.ndarray | None = None,
+    measured: dict | None = None,
 ) -> TunedResult:
-    """Model-free descent from the all-max config."""
+    """Model-free descent from the all-max config.  ref and measured are
+    as for smart_tune."""
     t0 = time.perf_counter()
-    ref = reference_output(benchmark, input_set)
-    result = _descent_from_max(benchmark, input_set, target_error, nbit_min, nbit_max, ref)
+    if ref is None:
+        ref = reference_output(benchmark, input_set)
+    result = _descent_from_max(
+        benchmark, input_set, target_error, nbit_min, nbit_max, ref, {} if measured is None else measured
+    )
     # the baseline has no proposal of its own to refine
     return replace(
         result,
@@ -625,11 +660,15 @@ def smart_tune_plus(
     benchmark: str,
     input_set: InputSet,
     target_error: float,
+    ref: np.ndarray | None = None,
     **kwargs,
 ) -> TunedResult:
-    """smart_tune followed by the verified descent on its result."""
+    """smart_tune followed by the verified descent on its result; the
+    keyword arguments, the run ledger measured among them, are
+    smart_tune's."""
     t0 = time.perf_counter()
-    ref = reference_output(benchmark, input_set)
+    if ref is None:
+        ref = reference_output(benchmark, input_set)
     result = smart_tune(benchmark, input_set, target_error, ref=ref, **kwargs)
     # a max_descent result has been through the same descent already
     if result.status != "feasible":

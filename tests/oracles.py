@@ -254,6 +254,65 @@ KERNEL_REFS = {
 }
 
 
+# --- reduced-precision kernel renditions ------------------------------------------
+# The correlation and jacobi bodies as first written: one rounding call per
+# slot and staged value, the products and squares of correlation one point
+# at a time.  rnd(slot, value) rounds a value whose leading axis is the batch
+# of configs to that slot's width in each config; load(slot, array)
+# broadcasts an input along that axis first and rounds it.  The package
+# stacks and hoists these roundings; every value must keep its bits.
+
+
+def rounded_correlation(inp, rnd, load):
+    data = load(0, inp.arrays["series"])
+    batch, s, t = data.shape
+    acc = np.zeros((batch, s))
+    for j in range(t):
+        acc = rnd(1, acc + data[..., j])
+    mean = rnd(1, acc / t)
+    dev = rnd(2, data - mean[..., None])
+    cov = np.zeros((batch, s, s))
+    for j in range(t):
+        cov = rnd(3, cov + rnd(3, dev[..., j][..., :, None] * dev[..., j][..., None, :]))
+    cov = rnd(3, cov / t)
+    var = np.zeros((batch, s))
+    for j in range(t):
+        var = rnd(4, var + rnd(4, dev[..., j] * dev[..., j]))
+    var = rnd(4, var / t)
+    std = rnd(5, np.sqrt(var))
+    denom = rnd(6, std[..., :, None] * std[..., None, :])
+    return rnd(6, cov / denom).reshape(batch, -1)
+
+
+def rounded_jacobi(inp, rnd, load, alpha=0.1):
+    a = load(0, inp.arrays["grid"])
+    src = load(3, inp.arrays["source"])
+    alpha = load(2, alpha)[:, None, None]
+    b = rnd(1, a)
+
+    def half(u, dst, dst_slot, base):
+        c = u[..., 1:-1, 1:-1]
+        dn = rnd(base + 0, u[..., :-2, 1:-1] - c)
+        ds = rnd(base + 1, u[..., 2:, 1:-1] - c)
+        dw = rnd(base + 2, u[..., 1:-1, :-2] - c)
+        de = rnd(base + 3, u[..., 1:-1, 2:] - c)
+        sv = rnd(base + 4, dn + ds)
+        sh = rnd(base + 5, dw + de)
+        lap = rnd(base + 6, sv + sh)
+        diff = rnd(base + 7, alpha * lap)
+        new = rnd(base + 8, c + diff)
+        tot = rnd(base + 9, new + src[..., 1:-1, 1:-1])
+        dst[..., 1:-1, 1:-1] = rnd(dst_slot, tot)
+
+    for _ in range(inp.shape["iters"]):
+        half(a, b, 1, 5)
+        half(b, a, 0, 15)
+    return rnd(4, a).reshape(a.shape[0], -1)
+
+
+ROUNDED_KERNELS = {"correlation": rounded_correlation, "jacobi": rounded_jacobi}
+
+
 # --- per-array Adam training -----------------------------------------------------
 # The regressor's training loop as first written: one Adam update per weight
 # and bias array.  The package trains over one flat buffer instead; the

@@ -6,8 +6,10 @@ import subprocess
 import sys
 from dataclasses import fields, replace
 
+import numpy as np
 import pytest
 
+from prectune import dataset, solve
 from prectune.cli import (
     EXIT_INFEASIBLE,
     EXIT_OK,
@@ -56,6 +58,22 @@ class TestHelpers:
         assert target_slug(1e-3) == "0.001"
         assert target_slug(1e-5) == "1e-5"
         assert target_slug(1e-30) == "1e-30"
+
+    def test_target_slug_reads_back_as_its_target(self):
+        # %g keeps six digits; a target it would round gets repr instead
+        for target in (1.23456e-3, 1.234561e-3, 1.2345678e-10, 0.1 + 0.2, 3e-7, 1e-300):
+            assert float(target_slug(target)) == target
+        assert target_slug(1.23456e-3) == "0.00123456"
+        assert target_slug(1.234561e-3) == "0.001234561"
+        assert target_slug(1.2345678e-10) == "1.2345678e-10"
+        # the short names of round targets stay as they were
+        for exp in range(1, 31):
+            assert target_slug(10.0 ** -exp) == f"{10.0 ** -exp:g}".replace("e-0", "e-")
+
+    def test_duplicate_targets_refused(self):
+        for argv in (["--target", "1e-3,0.001"], ["--target", "1e-3", "--target", "1e-5,1e-3"]):
+            with pytest.raises(UsageError, match="more than once"):
+                config_of(*argv)
 
     def test_parse_targets(self):
         assert parse_targets("1e-3, 1e-5") == (1e-3, 1e-5)
@@ -339,7 +357,8 @@ class TestTuneCommand:
     @pytest.mark.parametrize("mode", ["smart", "smart_plus"])
     def test_targets_share_initial_fit(self, tmp_path, mode):
         # one invocation fits the initial models once for all its targets;
-        # each record must equal that of a run with its target alone
+        # each record must equal that of a run with its target alone, but
+        # for the runs a target reads off the ledger the ones before it made
         targets = ("1e-1", "1e-3", "1e-5")
         args = ("tune", "--benchmark", "saxpy", "--mode", mode, *FAST)
         assert run(*args, "--target", ",".join(targets), "--out", str(tmp_path / "all")) == EXIT_OK
@@ -350,10 +369,75 @@ class TestTuneCommand:
             together = json.loads((tmp_path / "all" / name).read_text())
             alone = json.loads((tmp_path / target / name).read_text())
             del together["wall_time_s"], alone["wall_time_s"]
+            assert together.pop("kernel_runs") <= alone.pop("kernel_runs")
             assert together == alone
             misses += together["samples_added"]
         # some target retrained from its own previous regressor
         assert misses > 0
+
+
+    def test_close_targets_keep_their_own_results(self, tmp_path):
+        targets = (1.23456e-3, 1.234561e-3)
+        rc = run("tune", "--benchmark", "saxpy", "--mode", "baseline", "--shape", "n=64",
+                 "--target", ",".join(repr(t) for t in targets), "--out", str(tmp_path))
+        assert rc == EXIT_OK
+        for target in targets:
+            doc = json.loads((tmp_path / f"saxpy_baseline_{target_slug(target)}.json").read_text())
+            assert doc["target"] == target
+        rows = (tmp_path / "saxpy_baseline_summary.csv").read_text().splitlines()[2:]
+        assert [float(row.split(",")[0]) for row in rows] == list(targets)
+
+    def test_duplicate_target_exits_usage(self, tmp_path):
+        rc = run("tune", "--benchmark", "saxpy", "--mode", "baseline", "--shape", "n=64",
+                 "--target", "1e-3,0.001", "--out", str(tmp_path))
+        assert rc == EXIT_USAGE
+        assert not list(tmp_path.iterdir())
+
+
+class TestRunLedger:
+    """One tune runs the reference once and each config at most once, for
+    all its targets, and still gives each target the answer it gets alone."""
+
+    TARGETS = ("1e-1", "1e-3", "1e-5", "1e-7")
+
+    @pytest.fixture
+    def made(self, monkeypatch):
+        # single-config runs, the reference run among them; dataset builds
+        # run batches of configs
+        made = []
+
+        def counted(fn):
+            def call(benchmark, input_set, config):
+                if np.ndim(config) == 1:
+                    made.append(tuple(int(w) for w in config))
+                return fn(benchmark, input_set, config)
+
+            return call
+
+        for module in (solve, dataset):
+            monkeypatch.setattr(module, "run_kernel", counted(module.run_kernel))
+        return made
+
+    @staticmethod
+    def records(out, mode, targets):
+        return [json.loads((out / f"saxpy_{mode}_{target_slug(float(t))}.json").read_text()) for t in targets]
+
+    @pytest.mark.parametrize("mode", ["baseline", "smart_plus"])
+    def test_each_config_runs_once(self, tmp_path, made, mode):
+        args = ("tune", "--benchmark", "saxpy", "--mode", mode, *FAST)
+        assert run(*args, "--target", ",".join(self.TARGETS), "--out", str(tmp_path / "all")) == EXIT_OK
+        together = self.records(tmp_path / "all", mode, self.TARGETS)
+        assert made.count((52, 52, 52)) == 1
+        assert len(set(made)) == len(made)
+        # every run but the reference run is some target's
+        assert sum(rec["kernel_runs"] for rec in together) == len(made) - 1
+        for target, rec in zip(self.TARGETS, together):
+            made.clear()
+            assert run(*args, "--target", target, "--out", str(tmp_path / target)) == EXIT_OK
+            (alone,) = self.records(tmp_path / target, mode, [target])
+            assert alone["kernel_runs"] == len(made) - 1
+            for key in ("config", "actual_error", "status", "iterations"):
+                assert rec[key] == alone[key], key
 
 
 class TestSweepCommand:

@@ -17,7 +17,10 @@ from prectune.kernels import (
     UnknownBenchmarkError,
 )
 
-from oracles import KERNEL_REFS
+from prectune.flexnum import FormatBatch, round_to_format
+from prectune.solve import dependency_consistent
+
+from oracles import KERNEL_REFS, ROUNDED_KERNELS
 
 EXPECTED_N_VAR = {
     "fwt": 2,
@@ -426,3 +429,93 @@ class TestBatchedRuns:
         cfgs = np.array([[30, 7, 52, 9, 52, 12, 1], [30, 20, 52, 3, 52, 40, 52]])
         singles = np.stack([K.run_kernel("correlation", inp, c) for c in cfgs])
         assert K.run_kernel("correlation", inp, cfgs).tobytes() == singles.tobytes()
+
+
+def per_slot_hooks(cfgs):
+    """rnd and load hooks that round each value on its own, to one slot's
+    width in every config of the (B, n_var) batch cfgs."""
+
+    def rnd(slot, value):
+        return round_to_format(value, FormatBatch(cfgs[:, slot]))
+
+    def load(slot, value):
+        return rnd(slot, np.broadcast_to(value, (len(cfgs), *np.shape(value))))
+
+    return rnd, load
+
+
+class TestRoundedOracles:
+    """The kernels that stack and hoist their roundings give the bits of
+    the per-slot, per-point renditions in tests/oracles.py, for any config,
+    alone or in a batch."""
+
+    SHAPES = {
+        "correlation": [SMALL_SHAPES["correlation"], {"series": 16, "points": 40}],
+        "jacobi": [SMALL_SHAPES["jacobi"], {"side": 5, "iters": 2}],
+    }
+
+    @pytest.mark.parametrize("name", sorted(ROUNDED_KERNELS))
+    @pytest.mark.parametrize("spike", [False, True])
+    @pytest.mark.parametrize("which", [0, 1])
+    def test_matches_per_slot_rendition(self, name, spike, which):
+        inp = K.gen_input_set(name, self.SHAPES[name][which], 4)
+        if spike:
+            inp = _spiked(inp)
+        cfgs = TestBatchedRuns.configs(name)
+        with np.errstate(all="ignore"):
+            want = ROUNDED_KERNELS[name](inp, *per_slot_hooks(cfgs))
+            assert K.run_kernel(name, inp, cfgs).tobytes() == want.tobytes()
+            for cfg, row in zip(cfgs, want):
+                assert K.run_kernel(name, inp, cfg).tobytes() == row.tobytes()
+
+    @pytest.mark.parametrize("name", sorted(ROUNDED_KERNELS))
+    def test_consistent_configs_at_default_shape(self, name):
+        # the configs verify and descent runs use: every stacked group of
+        # slots shares one width
+        n = K.get_benchmark(name).n_var
+        cfgs = np.array([[w] * n for w in (1, 9, 30, 52)] + [CONSISTENT[name]])
+        inp = K.gen_input_set(name, seed=6)
+        with np.errstate(all="ignore"):
+            want = ROUNDED_KERNELS[name](inp, *per_slot_hooks(cfgs))
+            for cfg, row in zip(cfgs, want):
+                assert K.run_kernel(name, inp, cfg).tobytes() == row.tobytes()
+
+
+# dependency-consistent configs with distinct widths where the edges allow
+CONSISTENT = {
+    "correlation": [20, 24, 20, 30, 26, 28, 28],
+    "jacobi": [22, 23, 19, 25, 23] + [22] * 4 + [22, 22, 22, 19, 19, 19]
+    + [23] * 4 + [23, 23, 23, 19, 19, 19],
+}
+
+
+class TestRoundingCalls:
+    """Rounding calls per run, a count that does not drift with the
+    machine: the stacked and hoisted kernels make fewer of them."""
+
+    @staticmethod
+    def calls(monkeypatch, name, inp, cfg) -> int:
+        count = [0]
+
+        def counted(x, fmt):
+            count[0] += 1
+            return round_to_format(x, fmt)
+
+        monkeypatch.setattr(K, "round_to_format", counted)
+        K.run_kernel(name, inp, cfg)
+        return count[0]
+
+    @pytest.mark.parametrize("name,most", [("correlation", 800), ("jacobi", 710)])
+    def test_single_run_at_default_shape(self, monkeypatch, name, most):
+        # one call per slot and point made 1,288 (correlation) and 1,105
+        # (jacobi)
+        cfg = CONSISTENT[name]
+        assert dependency_consistent(cfg, K.dependency_graph(name))
+        assert self.calls(monkeypatch, name, K.gen_input_set(name, seed=0), cfg) <= most
+
+    def test_batch_makes_no_more_calls(self, monkeypatch):
+        # a dataset batch of 32 configs over 64 points: one call per slot
+        # and point made 1 + 64 + 2 + (2 * 64 + 1) * 2 + 3 = 328
+        inp = K.gen_input_set("correlation", {"points": 64}, seed=0)
+        cfgs = np.random.default_rng(0).integers(1, 53, (32, 7))
+        assert self.calls(monkeypatch, "correlation", inp, cfgs) <= 328
