@@ -26,13 +26,14 @@ import json
 import math
 import os
 import sys
+import time
 from dataclasses import dataclass, field, fields, replace
 
-from .dataset import Dataset, build_dataset, compute_error, load_dataset, reference_output, save_dataset
+from .dataset import Dataset, build_dataset, load_dataset, save_dataset
 from .flexnum import MANTISSA_MAX, MANTISSA_MIN
-from .kernels import InputSet, gen_input_set, list_benchmarks, run_kernel
+from .kernels import InputSet, gen_input_set, list_benchmarks
 from .learn import TrainConfig, eval_models, save_classifier, save_regressor, split_dataset
-from .solve import brute_force_optimum, fit_models, fptuning_baseline, new_ledger, smart_tune, smart_tune_plus
+from .solve import RunLedger, brute_force_optimum, fit_models, fptuning_baseline, smart_tune, smart_tune_plus
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 1
@@ -240,12 +241,12 @@ def run_input_set(cfg: RunConfig, bench: str, offset: int = 0) -> InputSet:
     return gen_input_set(bench, cfg.shape or None, cfg.seed_input + offset)
 
 
-def run_dataset(cfg: RunConfig, bench: str, input_set: InputSet, ref=None) -> Dataset:
+def run_dataset(cfg: RunConfig, input_set: InputSet, ref=None) -> Dataset:
     """A fresh dataset of cfg.dataset_size samples over the run's width box,
     drawn with its sample seed and measured on input_set, against ref when
     its reference output is at hand."""
     return build_dataset(
-        bench,
+        input_set.benchmark,
         n_samples=cfg.dataset_size,
         nbit_lo=cfg.nbit_min,
         nbit_hi=cfg.nbit_max,
@@ -319,7 +320,7 @@ def cmd_dataset(args) -> int:
     cfg = make_run_config(args)
     bench = single_benchmark(cfg)
     outdir = ensure_outdir(cfg)
-    ds = run_dataset(cfg, bench, run_input_set(cfg, bench))
+    ds = run_dataset(cfg, run_input_set(cfg, bench))
     path = os.path.join(outdir, f"{bench}_dataset.csv")
     save_dataset(ds, path)
     class1 = sum(s.class_label for s in ds.samples)
@@ -335,7 +336,7 @@ def cmd_train(args) -> int:
         ds = load_run_dataset(args.dataset, bench)
         cfg = with_dataset_seeds(cfg, ds)
     else:
-        ds = run_dataset(cfg, bench, run_input_set(cfg, bench))
+        ds = run_dataset(cfg, run_input_set(cfg, bench))
     tc = cfg.train_config()
 
     # quality is measured on a held-out split, the saved models use all data
@@ -364,27 +365,26 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _run_method(cfg: RunConfig, bench, input_set, target, dataset, models, ref, measured):
-    """One tuner call; ref is input_set's reference output and measured its
-    run ledger, shared by every call on input_set."""
+def _run_method(cfg: RunConfig, ledger: RunLedger, target, dataset, models):
+    """One tuner call on ledger's input set, and its wall time in seconds."""
+    t0 = time.perf_counter()
     if cfg.mode == "baseline":
-        return fptuning_baseline(bench, input_set, target, cfg.nbit_min, cfg.nbit_max, ref, measured)
-    runner = smart_tune if cfg.mode == "smart" else smart_tune_plus
-    return runner(
-        bench,
-        input_set,
-        target,
-        ref=ref,
-        measured=measured,
-        budget=cfg.budget,
-        nbit_min=cfg.nbit_min,
-        nbit_max=cfg.nbit_max,
-        dataset=dataset,
-        dataset_size=cfg.dataset_size,
-        seed_sample=cfg.seed_sample,
-        train_cfg=cfg.train_config(),
-        models=models,
-    )
+        result = fptuning_baseline(ledger, target, cfg.nbit_min, cfg.nbit_max)
+    else:
+        runner = smart_tune if cfg.mode == "smart" else smart_tune_plus
+        result = runner(
+            ledger,
+            target,
+            budget=cfg.budget,
+            nbit_min=cfg.nbit_min,
+            nbit_max=cfg.nbit_max,
+            dataset=dataset,
+            dataset_size=cfg.dataset_size,
+            seed_sample=cfg.seed_sample,
+            train_cfg=cfg.train_config(),
+            models=models,
+        )
+    return result, time.perf_counter() - t0
 
 
 def cmd_tune(args) -> int:
@@ -393,8 +393,7 @@ def cmd_tune(args) -> int:
     outdir = ensure_outdir(cfg)
     input_set = run_input_set(cfg, bench)
     # one reference run and one run ledger for the dataset and all the targets
-    ref = reference_output(bench, input_set)
-    measured = new_ledger(bench, ref)
+    ledger = RunLedger(input_set)
 
     dataset = None
     models = None
@@ -404,7 +403,7 @@ def cmd_tune(args) -> int:
             dataset = load_run_dataset(args.dataset, bench, input_set)
             cfg = with_dataset_seeds(cfg, dataset)
         else:
-            dataset = run_dataset(cfg, bench, input_set, ref)
+            dataset = run_dataset(cfg, input_set, ledger.ref)
             dataset_runs = len(dataset.samples)
         # every target starts from the same fit on the same dataset
         models = fit_models(dataset, cfg.train_config())
@@ -412,9 +411,9 @@ def cmd_tune(args) -> int:
     rows = []
     all_feasible = True
     for target in cfg.targets:
-        result = _run_method(cfg, bench, input_set, target, dataset, models, ref, measured)
+        result, wall_time = _run_method(cfg, ledger, target, dataset, models)
         sol = result.solution
-        feasible = bool(result.feasible)
+        feasible = result.feasible
         all_feasible = all_feasible and feasible
         rows.append(
             [
@@ -446,7 +445,7 @@ def cmd_tune(args) -> int:
                 "pre_refine_total_bits": result.pre_refine_total_bits,
                 "pre_refine_error": result.pre_refine_error,
                 "dataset_runs": dataset_runs,
-                "wall_time_s": result.wall_time,
+                "wall_time_s": wall_time,
                 "nbit_min": cfg.nbit_min,
                 "nbit_max": cfg.nbit_max,
                 "shape": dict(sorted(input_set.shape.items())),
@@ -482,9 +481,7 @@ def cmd_sweep(args) -> int:
     for bench in benches:
         # one master draw; prefixes are nested, the tail is the fixed
         # held-out set shared by every size
-        master = run_dataset(
-            replace(cfg, dataset_size=sizes[-1] + hold_n), bench, run_input_set(cfg, bench)
-        )
+        master = run_dataset(replace(cfg, dataset_size=sizes[-1] + hold_n), run_input_set(cfg, bench))
         holdout = replace(master, samples=master.samples[sizes[-1]:])
         for size in sizes:
             sub = replace(master, samples=master.samples[:size])
@@ -512,29 +509,22 @@ def cmd_transfer(args) -> int:
     base_cfg = replace(cfg, mode="baseline")
     rows = []
     for bench in benches:
-        first, *others = [run_input_set(cfg, bench, i) for i in range(n_inputs)]
-        refs = [reference_output(bench, inp) for inp in others]
-        # both methods tune on the first input set, through one ledger
-        ref = reference_output(bench, first)
-        measured = new_ledger(bench, ref)
-        dataset = run_dataset(cfg, bench, first, ref)
+        # one run ledger per input set: both methods tune on the first, and
+        # a config is checked on each other one once, whichever found it
+        first, *others = [RunLedger(run_input_set(cfg, bench, i)) for i in range(n_inputs)]
+        dataset = run_dataset(cfg, first.input_set, first.ref)
         models = fit_models(dataset, cfg.train_config())
 
         def violation_pct(result, target) -> float:
             # no config found means the target is violated everywhere
-            if not result.feasible or result.solution is None:
+            if not result.feasible:
                 return 100.0
-            config = result.solution.config
-            misses = 0
-            for inp, ref in zip(others, refs):
-                err = compute_error(run_kernel(bench, inp, config), ref)
-                if err > target:
-                    misses += 1
+            misses = sum(other.error(result.solution.config) > target for other in others)
             return 100.0 * misses / len(others)
 
         for target in cfg.targets:
-            smart = _run_method(smart_cfg, bench, first, target, dataset, models, ref, measured)
-            base = _run_method(base_cfg, bench, first, target, None, None, ref, measured)
+            smart, _ = _run_method(smart_cfg, first, target, dataset, models)
+            base, _ = _run_method(base_cfg, first, target, None, None)
             pct_smart = violation_pct(smart, target)
             pct_base = violation_pct(base, target)
             rows.append(
@@ -605,8 +595,7 @@ def cmd_snap_hw(args) -> int:
     bench = doc["benchmark"]
     snapped = [snap_up(v) for v in config]
     input_set = gen_input_set(bench, shape, doc["seed_input"])
-    ref = reference_output(bench, input_set)
-    err = compute_error(run_kernel(bench, input_set, snapped), ref)
+    err = RunLedger(input_set).error(tuple(snapped))
     target = float(target)
     feasible = err <= target
 
@@ -639,16 +628,14 @@ def cmd_oracle(args) -> int:
     cfg = make_run_config(args)
     bench = single_benchmark(cfg)
     outdir = ensure_outdir(cfg)
-    input_set = run_input_set(cfg, bench)
-    ref = reference_output(bench, input_set)
+    # every target's enumeration reads the configs the others ran
+    ledger = RunLedger(run_input_set(cfg, bench))
 
     rows = []
     all_feasible = True
     for target in cfg.targets:
         try:
-            sol = brute_force_optimum(
-                bench, input_set, target, cfg.nbit_min, cfg.nbit_max
-            )
+            sol = brute_force_optimum(ledger, target, cfg.nbit_min, cfg.nbit_max)
         except ValueError as exc:
             raise UsageError(str(exc)) from None
         if sol is None:
@@ -656,13 +643,12 @@ def cmd_oracle(args) -> int:
             rows.append([target_slug(target), "", "", "false"])
             print(f"{bench} target={target_slug(target)}: no feasible config")
             continue
-        err = compute_error(run_kernel(bench, input_set, sol.config), ref)
         rows.append(
             [
                 target_slug(target),
                 sol.total_bits,
                 " ".join(str(v) for v in sol.config),
-                repr(err),
+                repr(ledger.error(sol.config)),
             ]
         )
         print(f"{bench} target={target_slug(target)}: bits={sol.total_bits} config={sol.config}")

@@ -230,6 +230,14 @@ def load_dataset(path) -> Dataset:
             raise DatasetFormatError(f"{path}: sidecar has no {key!r}")
         if not valid(meta[key]):
             raise DatasetFormatError(f"{path}: sidecar {key!r} must be {kind}, got {meta[key]!r}")
+    lo, hi = meta["nbit_lo"], meta["nbit_hi"]
+    for key in ("nbit_lo", "nbit_hi"):
+        if not MANTISSA_MIN <= meta[key] <= MANTISSA_MAX:
+            raise DatasetFormatError(
+                f"{path}: sidecar {key!r} {meta[key]} outside [{MANTISSA_MIN}, {MANTISSA_MAX}]"
+            )
+    if lo > hi:
+        raise DatasetFormatError(f"{path}: sidecar 'nbit_lo' {lo} above 'nbit_hi' {hi}")
     benchmark = meta["benchmark"]
     n = get_benchmark(benchmark).n_var
     samples: list[Sample] = []
@@ -253,6 +261,10 @@ def load_dataset(path) -> Dataset:
             label = int(parts[n + 2])
         except ValueError as exc:
             raise DatasetFormatError(f"{path}:{lineno}: {exc}") from None
+        if not all(lo <= w <= hi for w in cfg):
+            raise DatasetFormatError(f"{path}:{lineno}: widths {cfg} outside the sidecar's [{lo}, {hi}]")
+        if label not in (0, 1):
+            raise DatasetFormatError(f"{path}:{lineno}: class {label} is not 0 or 1")
         samples.append(Sample(cfg, error, log_err, label))
     if len(samples) != meta["n_samples"]:
         raise DatasetFormatError(
@@ -260,8 +272,8 @@ def load_dataset(path) -> Dataset:
         )
     return Dataset(
         benchmark=benchmark,
-        nbit_lo=meta["nbit_lo"],
-        nbit_hi=meta["nbit_hi"],
+        nbit_lo=lo,
+        nbit_hi=hi,
         seed_input=meta["seed_input"],
         seed_sample=meta["seed_sample"],
         shape=dict(meta["shape"]),

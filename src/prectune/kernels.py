@@ -475,11 +475,12 @@ _register(
 # --- bscholes: European call option pricing ---------------------------------
 
 _SQRT2 = math.sqrt(2.0)
-_erf = np.vectorize(math.erf)
+# math.erf on each value, without np.vectorize's per-call set-up
+_erf = np.frompyfunc(math.erf, 1, 1)
 
 
 def _norm_cdf(x):
-    return 0.5 * (1.0 + _erf(x / _SQRT2))
+    return 0.5 * (1.0 + _erf(x / _SQRT2).astype(np.float64))
 
 
 def _gen_bscholes(shape, rng):

@@ -28,14 +28,15 @@ epochs (learn.train_regressor's start model).  One local function builds
 each of its records from the run ledger and the misses: samples_added
 counts the misses, kernel_runs the dataset runs plus the verify runs.
 
-The run ledger (TunedResult.measured) maps each config run on one input
-set to its error.  Every kernel run of a tuner goes through it
-(_run_error): a config already in it is read, not run again, and a new
-run is entered.  A tuner call makes a fresh ledger unless it is given one,
-and the tune command gives one ledger to all its calls on an input set,
-seeded by new_ledger with the reference run itself (the all-MANTISSA_MAX
-config), so that no config runs twice in a whole tune; each record's
-kernel_runs counts the runs its own call added.
+A run ledger (RunLedger) holds one input set, its reference output and
+the error of every config run on it.  Every kernel run of a tuner, a
+descent or the brute-force enumeration goes through RunLedger.error: a
+config already in it is read, not run again, and a new run is entered and
+counted in its runs.  A ledger is seeded with the reference run itself (the
+all-MANTISSA_MAX config).  The tune, transfer and oracle commands give one
+ledger to all their calls on an input set, so that no config runs twice on
+it in a whole command; each record's kernel_runs counts the runs its own
+call added.
 
 One verified descent, _descended, lowers a feasible result: plus_refine
 walks its config downward slot by slot with binary search, re-running the
@@ -55,7 +56,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -97,24 +97,27 @@ class Solution:
 class TunedResult:
     solution: Solution | None
     actual_error: float
-    feasible: bool
     refinement_iterations: int
     samples_added: int
     kernel_runs: int
-    wall_time: float
     status: str
+    # the run ledger the call read and extended: the error of every config
+    # run on its input set, by this call or by any other call given the same
+    # ledger, so that no config is run twice
+    ledger: RunLedger = field(repr=False)
     # filled by smart_tune_plus and by a max_descent result: the config the
     # descent started from
     pre_refine_total_bits: int | None = None
     pre_refine_error: float | None = None
-    # the run ledger the call read and extended: config -> error of every
-    # config run on its input set, by this call or by any other call given
-    # the same ledger, so that no config is run twice
-    measured: dict = field(default_factory=dict, repr=False)
     # Adam updates made by the regressor retrains after misses
     adam_steps: int = 0
     # boxes bounded by all of this call's searches (SearchStats.boxes)
     search_boxes: int = 0
+
+    @property
+    def feasible(self) -> bool:
+        """solution meets the target: a verified proposal or descent."""
+        return self.status in ("feasible", "max_descent")
 
 
 def build_problem(
@@ -143,18 +146,26 @@ def build_problem(
     )
 
 
-def new_ledger(benchmark: str, ref: np.ndarray) -> dict:
-    """A run ledger for the tuner calls on the input set whose reference
-    output is ref.  ref is the run of the all-MANTISSA_MAX config, so that
-    config's error is entered without a run."""
-    return {(MANTISSA_MAX,) * get_benchmark(benchmark).n_var: compute_error(ref, ref)}
+class RunLedger:
+    """The runs made on one input set: its reference output ref, the run of
+    the all-MANTISSA_MAX config, and errors, config -> error of every config
+    run on it, seeded with that run.  runs counts the kernel runs made
+    through error, the reference run not among them."""
 
+    def __init__(self, input_set: InputSet):
+        self.input_set = input_set
+        self.benchmark = input_set.benchmark
+        self.ref = reference_output(self.benchmark, input_set)
+        n = get_benchmark(self.benchmark).n_var
+        self.errors = {(MANTISSA_MAX,) * n: compute_error(self.ref, self.ref)}
+        self.runs = 0
 
-def _run_error(benchmark: str, input_set: InputSet, config: tuple[int, ...], ref, measured: dict) -> float:
-    """config's error, read from the ledger measured or run and entered."""
-    if config not in measured:
-        measured[config] = compute_error(run_kernel(benchmark, input_set, config), ref)
-    return measured[config]
+    def error(self, config: tuple[int, ...]) -> float:
+        """config's error, run and entered the first time it is asked for."""
+        if config not in self.errors:
+            self.errors[config] = compute_error(run_kernel(self.benchmark, self.input_set, config), self.ref)
+            self.runs += 1
+        return self.errors[config]
 
 
 # --- dependency handling ------------------------------------------------------
@@ -417,8 +428,7 @@ def fit_models(
 
 
 def smart_tune(
-    benchmark: str,
-    input_set: InputSet,
+    ledger: RunLedger,
     target_error: float,
     budget: int = 30,
     nbit_min: int = MANTISSA_MIN,
@@ -428,32 +438,26 @@ def smart_tune(
     seed_sample: int = 0,
     train_cfg: TrainConfig = TrainConfig(),
     models: tuple[MLPModel, DTModel] | None = None,
-    ref: np.ndarray | None = None,
-    measured: dict | None = None,
 ) -> TunedResult:
-    """Propose-verify-retrain until a config really meets the target.
+    """Propose-verify-retrain on ledger's input set until a config really
+    meets the target.
 
     When the first models promise no config at all, the all-nbit_max config
     is verified instead.  If it passes, it is walked down with the
     baseline's descent (status "max_descent"); if it misses, the status is
     "model_infeasible" with that one run's error.
 
-    kernel_runs counts executions made by this call, including dataset
-    construction when no dataset is passed in, adam_steps the Adam updates
-    of its retrains after misses (not of the initial fit; a miss in the
-    last budget round makes no retrain), and search_boxes the boxes its
+    kernel_runs counts the runs this call adds to the ledger, plus the
+    dataset construction when no dataset is passed in, adam_steps the Adam
+    updates of its retrains after misses (not of the initial fit; a miss in
+    the last budget round makes no retrain), and search_boxes the boxes its
     searches bounded.  A passed-in dataset is left untouched; misses
     extend a private copy.  models, when given, is
     the pair fit_models(dataset, train_cfg) returns, so that several
-    targets on one dataset share one initial fit; ref is the kernel's
-    reference output on input_set, computed here when not given, and
-    measured the run ledger of input_set, a fresh one when not given.
-    kernel_runs counts only the runs this call adds to the ledger."""
-    t0 = time.perf_counter()
+    targets on one dataset share one initial fit."""
     if models is not None and dataset is None:
         raise ValueError("initial models need the dataset they were fitted on")
-    if ref is None:
-        ref = reference_output(benchmark, input_set)
+    benchmark = ledger.benchmark
     dataset_runs = 0
     if dataset is None:
         dataset = build_dataset(
@@ -462,8 +466,8 @@ def smart_tune(
             nbit_lo=nbit_min,
             nbit_hi=nbit_max,
             seed_sample=seed_sample,
-            input_set=input_set,
-            ref=ref,
+            input_set=ledger.input_set,
+            ref=ledger.ref,
         )
         dataset_runs = dataset_size
     else:
@@ -471,9 +475,7 @@ def smart_tune(
     regressor, classifier = models if models is not None else fit_models(dataset, train_cfg)
 
     cuts: set[tuple[int, ...]] = set()
-    if measured is None:
-        measured = {}
-    known = len(measured)
+    known = ledger.runs
     stats = SearchStats()
     adam_steps = 0
     last: Solution | None = None
@@ -481,14 +483,12 @@ def smart_tune(
     def result(status: str, rounds: int) -> TunedResult:
         return TunedResult(
             solution=last,
-            actual_error=measured[last.config] if last is not None else float("inf"),
-            feasible=status == "feasible",
+            actual_error=ledger.errors[last.config] if last is not None else float("inf"),
             refinement_iterations=rounds,
             samples_added=len(cuts),
-            kernel_runs=dataset_runs + len(measured) - known,
-            wall_time=time.perf_counter() - t0,
+            kernel_runs=dataset_runs + ledger.runs - known,
             status=status,
-            measured=measured,
+            ledger=ledger,
             adam_steps=adam_steps,
             search_boxes=stats.boxes,
         )
@@ -500,19 +500,18 @@ def smart_tune(
         sol = solve_mp(problem, stats)
         if sol is None and iteration == 1:
             # no verify run yet to learn from: ask the kernel, not the models
-            base = _descent_from_max(benchmark, input_set, target_error, nbit_min, nbit_max, ref, measured)
+            base = _descent_from_max(ledger, target_error, nbit_min, nbit_max)
             return replace(
                 base,
                 refinement_iterations=iteration,
                 kernel_runs=dataset_runs + base.kernel_runs,
-                wall_time=time.perf_counter() - t0,
                 status="max_descent" if base.feasible else "model_infeasible",
                 search_boxes=stats.boxes,
             )
         if sol is None:
             return result("model_infeasible", iteration)
         last = sol
-        err = _run_error(benchmark, input_set, sol.config, ref, measured)
+        err = ledger.error(sol.config)
         if err <= target_error:
             return result("feasible", iteration)
         # miss: learn from it and never propose it again; the regressor
@@ -530,36 +529,25 @@ def smart_tune(
 
 
 def plus_refine(
-    benchmark: str,
-    input_set: InputSet,
+    ledger: RunLedger,
     config,
     target_error: float,
     nbit_min: int = MANTISSA_MIN,
-    ref: np.ndarray | None = None,
-    errors: dict | None = None,
 ) -> tuple[tuple[int, ...], float, int, int]:
     """Binary-search each slot of a feasible config downward, keeping only
     kernel-verified improvements.  Returns (config, error, kernel_runs,
     passes).  The total width never increases and feasibility is preserved.
 
-    errors maps configs already run, the start's among them when known, to
-    their measured errors; the call adds each run it makes to it.  No
-    config is run twice, and the returned error is the one measured when
-    the returned config was accepted (the start's is run at the end if it
-    was unknown and nothing was accepted), so kernel_runs counts the
-    distinct runs this call made."""
-    edges = dependency_graph(benchmark)
-    if ref is None:
-        ref = reference_output(benchmark, input_set)
-    if errors is None:
-        errors = {}
-    known = len(errors)
-
-    def error(cfg) -> float:
-        return _run_error(benchmark, input_set, cfg, ref, errors)
-
-    cfg, passes = _descend(config, edges, nbit_min, lambda c: error(c) <= target_error)
-    return cfg, error(cfg), len(errors) - known, passes
+    Every run goes through ledger, so no config is run twice, and the
+    returned error is the one measured when the returned config was
+    accepted (the start's is run at the end if the ledger did not hold it
+    and nothing was accepted); kernel_runs counts the runs this call added
+    to the ledger."""
+    known = ledger.runs
+    cfg, passes = _descend(
+        config, dependency_graph(ledger.benchmark), nbit_min, lambda c: ledger.error(c) <= target_error
+    )
+    return cfg, ledger.error(cfg), ledger.runs - known, passes
 
 
 def _measured_solution(config, error: float) -> Solution:
@@ -573,17 +561,13 @@ def _measured_solution(config, error: float) -> Solution:
     )
 
 
-def _descended(
-    result: TunedResult, benchmark: str, input_set: InputSet, target_error: float, nbit_min: int, ref
-) -> tuple[TunedResult, int]:
+def _descended(result: TunedResult, target_error: float, nbit_min: int) -> tuple[TunedResult, int]:
     """A feasible result walked down by plus_refine, and the descent's
-    passes.  The descent reads and extends result.measured, so it runs no
+    passes.  The descent reads and extends result.ledger, so it runs no
     config twice; kernel_runs grows by its runs, and pre_refine_* hold the
     config it started from."""
     start = result.solution
-    cfg, err, runs, passes = plus_refine(
-        benchmark, input_set, start.config, target_error, nbit_min, ref, result.measured
-    )
+    cfg, err, runs, passes = plus_refine(result.ledger, start.config, target_error, nbit_min)
     assert err <= target_error and sum(cfg) <= start.total_bits
     return replace(
         result,
@@ -595,104 +579,66 @@ def _descended(
     ), passes
 
 
-def _descent_from_max(
-    benchmark: str,
-    input_set: InputSet,
-    target_error: float,
-    nbit_min: int,
-    nbit_max: int,
-    ref: np.ndarray,
-    measured: dict,
-) -> TunedResult:
-    """Verify the all-nbit_max config through the ledger measured and, if
-    it meets the target, descend from it, the descent's passes counted as
-    iterations.  The callers set wall_time."""
-    start = (nbit_max,) * get_benchmark(benchmark).n_var  # uniform widths always satisfy the edges
-    known = len(measured)
-    err = _run_error(benchmark, input_set, start, ref, measured)
+def _descent_from_max(ledger: RunLedger, target_error: float, nbit_min: int, nbit_max: int) -> TunedResult:
+    """Verify the all-nbit_max config through ledger and, if it meets the
+    target, descend from it, the descent's passes counted as iterations."""
+    start = (nbit_max,) * get_benchmark(ledger.benchmark).n_var  # uniform widths always satisfy the edges
+    known = ledger.runs
+    err = ledger.error(start)
     result = TunedResult(
         solution=None,
         actual_error=err,
-        feasible=False,
         refinement_iterations=0,
         samples_added=0,
-        kernel_runs=len(measured) - known,
-        wall_time=0.0,
+        kernel_runs=ledger.runs - known,
         status="infeasible_at_max",
-        measured=measured,
+        ledger=ledger,
     )
     if err > target_error:
         return result
     result, passes = _descended(
-        replace(result, solution=_measured_solution(start, err), feasible=True, status="feasible"),
-        benchmark, input_set, target_error, nbit_min, ref,
+        replace(result, solution=_measured_solution(start, err), status="feasible"), target_error, nbit_min
     )
     return replace(result, refinement_iterations=passes)
 
 
 def fptuning_baseline(
-    benchmark: str,
-    input_set: InputSet,
+    ledger: RunLedger,
     target_error: float,
     nbit_min: int = MANTISSA_MIN,
     nbit_max: int = MANTISSA_MAX,
-    ref: np.ndarray | None = None,
-    measured: dict | None = None,
 ) -> TunedResult:
-    """Model-free descent from the all-max config.  ref and measured are
-    as for smart_tune."""
-    t0 = time.perf_counter()
-    if ref is None:
-        ref = reference_output(benchmark, input_set)
-    result = _descent_from_max(
-        benchmark, input_set, target_error, nbit_min, nbit_max, ref, {} if measured is None else measured
-    )
+    """Model-free descent from the all-max config on ledger's input set."""
+    result = _descent_from_max(ledger, target_error, nbit_min, nbit_max)
     # the baseline has no proposal of its own to refine
-    return replace(
-        result,
-        wall_time=time.perf_counter() - t0,
-        pre_refine_total_bits=None,
-        pre_refine_error=None,
-    )
+    return replace(result, pre_refine_total_bits=None, pre_refine_error=None)
 
 
-def smart_tune_plus(
-    benchmark: str,
-    input_set: InputSet,
-    target_error: float,
-    ref: np.ndarray | None = None,
-    **kwargs,
-) -> TunedResult:
+def smart_tune_plus(ledger: RunLedger, target_error: float, **kwargs) -> TunedResult:
     """smart_tune followed by the verified descent on its result; the
-    keyword arguments, the run ledger measured among them, are
-    smart_tune's."""
-    t0 = time.perf_counter()
-    if ref is None:
-        ref = reference_output(benchmark, input_set)
-    result = smart_tune(benchmark, input_set, target_error, ref=ref, **kwargs)
+    keyword arguments are smart_tune's."""
+    result = smart_tune(ledger, target_error, **kwargs)
     # a max_descent result has been through the same descent already
     if result.status != "feasible":
         return result
-    nbit_min = kwargs.get("nbit_min", MANTISSA_MIN)
-    result, _ = _descended(result, benchmark, input_set, target_error, nbit_min, ref)
-    return replace(result, wall_time=time.perf_counter() - t0)
+    result, _ = _descended(result, target_error, kwargs.get("nbit_min", MANTISSA_MIN))
+    return result
 
 
 # --- ground truth for small problems ----------------------------------------------
 
 
 def brute_force_optimum(
-    benchmark: str,
-    input_set: InputSet,
+    ledger: RunLedger,
     target_error: float,
     nbit_min: int = MANTISSA_MIN,
     nbit_max: int = MANTISSA_MAX,
 ) -> Solution | None:
-    """Exhaustive search over consistent configs; min total width, ties to
-    the lexicographically smallest config."""
-    desc = get_benchmark(benchmark)
+    """Exhaustive search over consistent configs on ledger's input set; min
+    total width, ties to the lexicographically smallest config."""
+    benchmark = ledger.benchmark
     edges = dependency_graph(benchmark)
-    n = desc.n_var
+    n = get_benchmark(benchmark).n_var
     free = free_dims(edges, n)
     width = nbit_max - nbit_min + 1
     count = width ** len(free)
@@ -701,7 +647,6 @@ def brute_force_optimum(
             f"{benchmark}: {count} free-width combinations exceed the cap of {BRUTE_FORCE_CAP}"
         )
     box = DomainBox((nbit_min,) * n, (nbit_max,) * n)
-    ref = reference_output(benchmark, input_set)
 
     best: tuple[int, ...] | None = None
     best_sum = 0
@@ -721,8 +666,7 @@ def brute_force_optimum(
         total = sum(cfg)
         if best is not None and (total > best_sum or (total == best_sum and cfg >= best)):
             continue
-        out = run_kernel(benchmark, input_set, cfg)
-        err = compute_error(out, ref)
+        err = ledger.error(cfg)
         if err <= target_error:
             best, best_sum, best_err = cfg, total, err
 

@@ -34,6 +34,7 @@ from prectune.learn import (
     train_regressor,
 )
 from prectune.solve import (
+    RunLedger,
     brute_force_optimum,
     build_problem,
     dependency_consistent,
@@ -295,11 +296,11 @@ class TestC09NearOptimality:
     @pytest.mark.parametrize("target", [1e-3, 1e-5])
     def test_c09_within_ten_percent_of_brute_force(self, target):
         inp = gen_input_set("saxpy", None, 0)
-        brute = brute_force_optimum("saxpy", inp, target, 4, 20)
+        brute = brute_force_optimum(RunLedger(inp), target, 4, 20)
         assert brute is not None
-        smart = smart_tune_plus("saxpy", inp, target, budget=100, nbit_min=4, nbit_max=20)
+        smart = smart_tune_plus(RunLedger(inp), target, budget=100, nbit_min=4, nbit_max=20)
         assert smart.feasible, smart.status
-        base = fptuning_baseline("saxpy", inp, target, 4, 20)
+        base = fptuning_baseline(RunLedger(inp), target, 4, 20)
         assert base.feasible, base.status
         limit = 1.10 * brute.total_bits
         assert smart.solution.total_bits <= limit, (smart.solution.total_bits, brute.total_bits)

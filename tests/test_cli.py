@@ -9,7 +9,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from prectune import dataset, solve
+from prectune import cli, dataset, solve
 from prectune.cli import (
     EXIT_INFEASIBLE,
     EXIT_OK,
@@ -50,6 +50,25 @@ BAD_TRAINING = [
     ("learning_rate", "0"), ("learning_rate", "-0.001"), ("learning_rate", "nan"),
     ("learning_rate", "inf"), ("max_depth", "-1"),
 ]
+
+
+@pytest.fixture
+def runs_by_input(monkeypatch):
+    """(input seed, config) of each single-config kernel run, the
+    reference runs among them; dataset builds run batches of configs."""
+    made = []
+
+    def counted(fn):
+        def call(benchmark, input_set, config):
+            if np.ndim(config) == 1:
+                made.append((input_set.seed, tuple(int(w) for w in config)))
+            return fn(benchmark, input_set, config)
+
+        return call
+
+    for module in (solve, dataset):
+        monkeypatch.setattr(module, "run_kernel", counted(module.run_kernel))
+    return made
 
 
 class TestHelpers:
@@ -341,6 +360,32 @@ class TestTuneCommand:
         assert rc == EXIT_USAGE
         assert "'nbit_lo'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("edit,named", [
+        ("widths", ":3: widths (99, 5, 5)"),
+        ("class", ":3: class 7"),
+        ("nbit_lo", "'nbit_lo' -5"),
+    ])
+    def test_prebuilt_dataset_malformed_refused(self, tmp_path, capsys, edit, named):
+        # a width outside the sidecar's box, a class other than 0 or 1 and a
+        # box outside [1, 52] are refused, not trained on
+        assert run("dataset", "--benchmark", "saxpy", "--dataset-size", "30",
+                   "--shape", "n=64", "--out", str(tmp_path)) == EXIT_OK
+        path = tmp_path / "saxpy_dataset.csv"
+        lines = path.read_text().splitlines()
+        if edit == "widths":
+            lines[2] = "99,5,5," + lines[2].split(",", 3)[3]
+        elif edit == "class":
+            lines[2] = lines[2].rsplit(",", 1)[0] + ",7"
+        else:
+            sidecar = tmp_path / "saxpy_dataset.csv.meta.json"
+            sidecar.write_text(json.dumps({**json.loads(sidecar.read_text()), "nbit_lo": -5}))
+        path.write_text("\n".join(lines) + "\n")
+        rc = run("tune", "--benchmark", "saxpy", "--target", "1e-1", "--mode", "smart",
+                 "--shape", "n=64", "--dataset", str(path), "--out", str(tmp_path))
+        assert rc == EXIT_USAGE
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "saxpy_smart_0.1.json").exists()
+
     def test_prebuilt_dataset_seeds_recorded(self, tmp_path):
         # a run on a loaded dataset records the seeds its data was drawn with
         assert run("dataset", "--benchmark", "saxpy", "--dataset-size", "60", "--shape", "n=64",
@@ -482,6 +527,16 @@ class TestTransferCommand:
         together = (tmp_path / "all" / "transfer_violations.csv").read_text().splitlines()[2:]
         assert together == rows
 
+    def test_each_config_runs_once_per_input_set(self, tmp_path, runs_by_input):
+        rc = run("transfer", "--benchmark", "saxpy", "--n-inputs", "4",
+                 "--target", "1e-1,1e-3,1e-5", *FAST, "--out", str(tmp_path))
+        assert rc == EXIT_OK
+        assert len(set(runs_by_input)) == len(runs_by_input)
+        # one reference run per input set
+        assert sorted(seed for seed, cfg in runs_by_input if cfg == (52, 52, 52)) == [0, 1, 2, 3]
+        # the configs found on the first input set are checked on the others
+        assert {seed for seed, cfg in runs_by_input if cfg != (52, 52, 52)} == {0, 1, 2, 3}
+
     def test_n_inputs_floor(self, tmp_path):
         rc = run("transfer", "--benchmark", "saxpy", "--n-inputs", "1",
                  "--out", str(tmp_path))
@@ -582,6 +637,31 @@ class TestOracleCommand:
         target, bits, config, err = lines[2].split(",")
         assert int(bits) == sum(int(v) for v in config.split())
         assert float(err) <= 0.1
+
+    def test_printed_error_is_read_not_run(self, tmp_path, monkeypatch, runs_by_input):
+        # runs made before and after each target's enumeration
+        marks = []
+
+        def marked(*args, **kwargs):
+            marks.append(len(runs_by_input))
+            sol = solve.brute_force_optimum(*args, **kwargs)
+            marks.append(len(runs_by_input))
+            return sol
+
+        monkeypatch.setattr(cli, "brute_force_optimum", marked)
+        rc = run("oracle", "--benchmark", "saxpy", "--target", "1e-1,1e-3,1e-5",
+                 "--nbit-min", "2", "--nbit-max", "12", "--shape", "n=64", "--out", str(tmp_path))
+        assert rc == EXIT_OK
+        assert len(set(runs_by_input)) == len(runs_by_input)
+        # nothing runs between one enumeration and the next, or after the last
+        assert marks[2::2] == marks[1:-1:2] and marks[-1] == len(runs_by_input)
+        rows = (tmp_path / "saxpy_oracle.csv").read_text().splitlines()[2:]
+        inp = cli.run_input_set(config_of("--shape", "n=64"), "saxpy")
+        ref = dataset.reference_output("saxpy", inp)
+        for row in rows:
+            _, _, config, err = row.split(",")
+            out = dataset.run_kernel("saxpy", inp, [int(v) for v in config.split()])
+            assert float(err) == dataset.compute_error(out, ref)
 
     def test_cap_exceeded(self, tmp_path):
         rc = run("oracle", "--benchmark", "dwt", "--target", "1e-1",

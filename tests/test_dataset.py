@@ -357,3 +357,53 @@ class TestSerialization:
         path.write_text("\n".join(lines[:-1]) + "\n")
         with pytest.raises(DatasetFormatError, match="promises"):
             load_dataset(path)
+
+    @pytest.mark.parametrize("meta_update,key", [
+        ({"nbit_lo": -5}, "nbit_lo"),
+        ({"nbit_lo": 0}, "nbit_lo"),
+        ({"nbit_hi": 53}, "nbit_hi"),
+        ({"nbit_hi": 99}, "nbit_hi"),
+        ({"nbit_lo": 30, "nbit_hi": 20}, "nbit_lo"),
+    ])
+    def test_sidecar_bad_width_box_named(self, tmp_path, meta_update, key):
+        ds = build_dataset("saxpy", n_samples=3, shape={"n": 16})
+        path = tmp_path / "ds.csv"
+        save_dataset(ds, path)
+        sidecar = tmp_path / "ds.csv.meta.json"
+        meta = json.loads(sidecar.read_text())
+        meta.update(meta_update)
+        sidecar.write_text(json.dumps(meta))
+        with pytest.raises(DatasetFormatError, match=repr(key)):
+            load_dataset(path)
+
+    @staticmethod
+    def with_widths(tmp_path, widths):
+        """A saxpy dataset over the box [5, 20] whose line 4 has the given
+        widths."""
+        ds = build_dataset("saxpy", n_samples=3, nbit_lo=5, nbit_hi=20, shape={"n": 16})
+        path = tmp_path / "ds.csv"
+        save_dataset(ds, path)
+        lines = path.read_text().splitlines()
+        lines[3] = widths + "," + lines[3].split(",", 3)[3]
+        path.write_text("\n".join(lines) + "\n")
+        return path
+
+    @pytest.mark.parametrize("widths", ["99,5,5", "5,0,5", "4,5,5", "5,5,21"])
+    def test_width_outside_box_reports_line(self, tmp_path, widths):
+        path = self.with_widths(tmp_path, widths)
+        with pytest.raises(DatasetFormatError, match=r":4: widths .* outside the sidecar's \[5, 20\]"):
+            load_dataset(path)
+
+    def test_widths_on_the_box_edges_load(self, tmp_path):
+        assert load_dataset(self.with_widths(tmp_path, "5,20,5")).samples[2].config == (5, 20, 5)
+
+    @pytest.mark.parametrize("label", ["7", "-1", "2"])
+    def test_class_not_zero_or_one_reports_line(self, tmp_path, label):
+        ds = build_dataset("saxpy", n_samples=3, shape={"n": 16})
+        path = tmp_path / "bad.csv"
+        save_dataset(ds, path)
+        lines = path.read_text().splitlines()
+        lines[2] = lines[2].rsplit(",", 1)[0] + "," + label
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DatasetFormatError, match=f":3: class {label} is not 0 or 1"):
+            load_dataset(path)

@@ -351,6 +351,15 @@ class TestHandCases:
         assert np.all(price >= intrinsic - 1e-9)
         assert np.all(price >= -1e-9)
 
+    def test_norm_cdf_is_math_erf_bit_for_bit(self):
+        rng = np.random.default_rng(5)
+        specials = [0.0, -0.0, math.inf, -math.inf, math.nan, 40.0, -40.0]
+        x = np.concatenate([rng.normal(scale=4.0, size=(3, 256)), np.tile(specials, (3, 1))], axis=1)
+        want = np.array([[0.5 * (1.0 + math.erf(v / math.sqrt(2.0))) for v in row] for row in x])
+        got = K._norm_cdf(x)
+        assert got.dtype == np.float64 and got.shape == x.shape
+        assert got.tobytes() == want.tobytes()
+
     def test_jacobi_zero_source_fixed_point(self):
         side = 6
         inp = InputSet(

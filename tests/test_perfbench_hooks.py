@@ -8,6 +8,7 @@ stands, loading spans.py unchanged.
 """
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -45,7 +46,7 @@ def test_traced_tune_records_every_solve_layer():
     ds = build_dataset("saxpy", n_samples=60, input_set=inp, seed_sample=0)
     tracer = spans.Tracer()
     with tracer.installed():
-        result = solve.smart_tune("saxpy", inp, 1e-3, budget=3, dataset=ds, train_cfg=TrainConfig(epochs=5))
+        result = solve.smart_tune(solve.RunLedger(inp), 1e-3, budget=3, dataset=ds, train_cfg=TrainConfig(epochs=5))
     names = {s[spans.NAME] for s in tracer.spans}
     assert {"solve.tune", "solve.search", "learn.regressor_fit", "learn.classifier_fit", "kernels.run"} <= names
     # every verify run, plus the reference run kernel_runs leaves out
@@ -60,7 +61,7 @@ def test_traced_retrains_record_one_fit_span_each():
     ds = build_dataset("saxpy", n_samples=60, input_set=inp, seed_sample=0)
     tracer = spans.Tracer()
     with tracer.installed():
-        result = solve.smart_tune("saxpy", inp, 1e-3, budget=3, dataset=ds, train_cfg=TrainConfig(epochs=5))
+        result = solve.smart_tune(solve.RunLedger(inp), 1e-3, budget=3, dataset=ds, train_cfg=TrainConfig(epochs=5))
     assert result.samples_added >= 1
     fits = sum(1 for s in tracer.spans if s[spans.NAME] == "learn.regressor_fit")
     # the initial fit, then one per miss, except a miss that used up the
@@ -104,3 +105,26 @@ def test_tune_calls_one_timed_tuner_per_target(monkeypatch, tmp_path, mode, tune
                    "--out", str(tmp_path)])
     assert rc in (cli.EXIT_OK, cli.EXIT_INFEASIBLE)
     assert calls == [tuner] * 3
+
+
+def test_traced_baseline_tune_counts_its_runs_under_refine(tmp_path):
+    # every baseline run after the reference is a descent run through
+    # solve.plus_refine, so the kernels.run spans under solve.refine add up
+    # to the records' kernel_runs; a run moved off solve.run_kernel would
+    # leave its span uncounted
+    spans = load_spans()
+    targets = ("1e-1", "1e-3", "1e-5")
+    tracer = spans.Tracer()
+    with tracer.installed():
+        rc = cli.main(["tune", "--benchmark", "saxpy", "--mode", "baseline", "--target", ",".join(targets),
+                       "--shape", "n=64", "--out", str(tmp_path)])
+    assert rc == cli.EXIT_OK
+    kernel_runs = 0
+    for target in targets:
+        name = f"saxpy_baseline_{cli.target_slug(float(target))}.json"
+        kernel_runs += json.loads((tmp_path / name).read_text())["kernel_runs"]
+    layers = spans.layer_metrics(tracer.spans)
+    assert layers["solve.refines"] == len(targets)
+    assert layers["solve.refine_runs"] == kernel_runs > 0
+    # and the one reference run is the only run outside them
+    assert layers["kernels.runs"] == kernel_runs + 1

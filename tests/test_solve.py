@@ -28,6 +28,7 @@ from prectune.learn import (
 )
 from prectune.solve import (
     BRUTE_FORCE_CAP,
+    RunLedger,
     brute_force_optimum,
     build_problem,
     dependency_consistent,
@@ -378,7 +379,7 @@ class TestBestFirstSearch:
 
 class TestSmartTune:
     def test_feasible_on_saxpy(self, saxpy_input, saxpy_dataset):
-        res = smart_tune("saxpy", saxpy_input, 1e-3, budget=15, dataset=saxpy_dataset)
+        res = smart_tune(RunLedger(saxpy_input), 1e-3, budget=15, dataset=saxpy_dataset)
         assert res.status == "feasible"
         assert res.feasible
         assert res.solution is not None
@@ -394,11 +395,11 @@ class TestSmartTune:
     def test_does_not_mutate_dataset(self, saxpy_input):
         ds = flat_dataset(35.0)
         n_before = len(ds.samples)
-        smart_tune("saxpy", saxpy_input, 1e-30, budget=2, nbit_min=4, nbit_max=6, dataset=ds)
+        smart_tune(RunLedger(saxpy_input), 1e-30, budget=2, nbit_min=4, nbit_max=6, dataset=ds)
         assert len(ds.samples) == n_before
 
     def test_budget_zero(self, saxpy_input, saxpy_dataset):
-        res = smart_tune("saxpy", saxpy_input, 1e-3, budget=0, dataset=saxpy_dataset)
+        res = smart_tune(RunLedger(saxpy_input), 1e-3, budget=0, dataset=saxpy_dataset)
         assert res.status == "budget_exhausted"
         assert not res.feasible
         assert res.solution is None
@@ -411,7 +412,7 @@ class TestSmartTune:
         # the models see only mediocre errors, the target demands far more;
         # the all-max config is verified before giving up, and misses too
         ds = flat_dataset(2.0)
-        res = smart_tune("saxpy", saxpy_input, 1e-10, budget=5, nbit_min=4, nbit_max=6, dataset=ds)
+        res = smart_tune(RunLedger(saxpy_input), 1e-10, budget=5, nbit_min=4, nbit_max=6, dataset=ds)
         assert res.status == "model_infeasible"
         assert not res.feasible
         assert res.solution is None
@@ -424,8 +425,8 @@ class TestSmartTune:
         # the models promise nothing at round 1, yet the all-max config meets
         # the target: the result is the baseline's descent from it
         ds = flat_dataset(2.0)
-        res = smart_tune("saxpy", saxpy_input, 1e-3, budget=5, nbit_min=4, nbit_max=6, dataset=ds)
-        base = fptuning_baseline("saxpy", saxpy_input, 1e-3, nbit_min=4, nbit_max=6)
+        res = smart_tune(RunLedger(saxpy_input), 1e-3, budget=5, nbit_min=4, nbit_max=6, dataset=ds)
+        base = fptuning_baseline(RunLedger(saxpy_input), 1e-3, nbit_min=4, nbit_max=6)
         assert res.status == "max_descent"
         assert res.feasible and res.actual_error <= 1e-3
         assert res.solution == base.solution
@@ -439,7 +440,7 @@ class TestSmartTune:
         assert res.pre_refine_error == max_err
         assert base.pre_refine_total_bits is None and base.pre_refine_error is None
         # smart_tune_plus does not walk the same descent a second time
-        plus = smart_tune_plus("saxpy", saxpy_input, 1e-3, budget=5, nbit_min=4, nbit_max=6, dataset=ds)
+        plus = smart_tune_plus(RunLedger(saxpy_input), 1e-3, budget=5, nbit_min=4, nbit_max=6, dataset=ds)
         assert plus.solution == res.solution and plus.kernel_runs == res.kernel_runs
         assert plus.status == "max_descent"
         assert plus.pre_refine_total_bits == 18 and plus.pre_refine_error == max_err
@@ -447,7 +448,7 @@ class TestSmartTune:
     def test_budget_exhausted_records_miss(self, saxpy_input):
         # the models promise 1e-35 everywhere; reality disagrees
         ds = flat_dataset(35.0)
-        res = smart_tune("saxpy", saxpy_input, 1e-30, budget=1, nbit_min=4, nbit_max=6, dataset=ds)
+        res = smart_tune(RunLedger(saxpy_input), 1e-30, budget=1, nbit_min=4, nbit_max=6, dataset=ds)
         assert res.status == "budget_exhausted"
         assert not res.feasible
         assert res.solution is not None
@@ -469,7 +470,7 @@ class TestSmartTune:
             return train_regressor(dataset, cfg, start)
 
         monkeypatch.setattr(solve, "train_regressor", counted)
-        res = smart_tune("saxpy", saxpy_input, 1e-30, budget=budget, nbit_min=4, nbit_max=6, dataset=ds)
+        res = smart_tune(RunLedger(saxpy_input), 1e-30, budget=budget, nbit_min=4, nbit_max=6, dataset=ds)
         assert res.status == "budget_exhausted"
         assert res.samples_added == budget
         # the initial fit, then one warm retrain per miss but the last
@@ -484,12 +485,12 @@ class TestSmartTune:
             return nn_bound_info(model, lo, hi, *args)
 
         monkeypatch.setattr(solve, "nn_bound_info", counted)
-        res = smart_tune("saxpy", saxpy_input, 1e-4, budget=10, dataset=saxpy_dataset)
+        res = smart_tune(RunLedger(saxpy_input), 1e-4, budget=10, dataset=saxpy_dataset)
         assert res.search_boxes == sum(rows) > 0
 
     def test_deterministic(self, saxpy_input, saxpy_dataset):
-        a = smart_tune("saxpy", saxpy_input, 1e-4, budget=10, dataset=saxpy_dataset)
-        b = smart_tune("saxpy", saxpy_input, 1e-4, budget=10, dataset=saxpy_dataset)
+        a = smart_tune(RunLedger(saxpy_input), 1e-4, budget=10, dataset=saxpy_dataset)
+        b = smart_tune(RunLedger(saxpy_input), 1e-4, budget=10, dataset=saxpy_dataset)
         assert a.solution == b.solution
         assert a.actual_error == b.actual_error
         assert a.refinement_iterations == b.refinement_iterations
@@ -498,7 +499,7 @@ class TestSmartTune:
 
     def test_initial_models_need_their_dataset(self, saxpy_input, saxpy_models):
         with pytest.raises(ValueError):
-            smart_tune("saxpy", saxpy_input, 1e-4, dataset_size=20, models=saxpy_models)
+            smart_tune(RunLedger(saxpy_input), 1e-4, dataset_size=20, models=saxpy_models)
 
 
 class TestModelInfeasibleAtRoundOne:
@@ -518,7 +519,7 @@ class TestModelInfeasibleAtRoundOne:
 
     def test_smart_tune_finds_a_config(self, fwt_input):
         ds = build_dataset("fwt", n_samples=1000, input_set=fwt_input, seed_sample=0)
-        res = smart_tune("fwt", fwt_input, self.TARGET, budget=100, dataset=ds,
+        res = smart_tune(RunLedger(fwt_input), self.TARGET, budget=100, dataset=ds,
                          train_cfg=TrainConfig(seed=0))
         assert res.kernel_runs > 0
         assert res.feasible and res.actual_error <= self.TARGET
@@ -532,34 +533,34 @@ class TestPlusRefine:
     def test_never_worse_and_stays_feasible(self, saxpy_input, target):
         start = (52, 52, 52)
         ref = reference_output("saxpy", saxpy_input)
-        cfg, err, runs, passes = plus_refine("saxpy", saxpy_input, start, target)
+        cfg, err, runs, passes = plus_refine(RunLedger(saxpy_input), start, target)
         assert sum(cfg) <= sum(start)
         assert runs > 0 and passes >= 1
         assert dependency_consistent(cfg, dependency_graph("saxpy"))
         assert compute_error(run_kernel("saxpy", saxpy_input, cfg), ref) == err <= target
 
     def test_actually_improves_from_max(self, saxpy_input):
-        cfg, _, _, _ = plus_refine("saxpy", saxpy_input, (52, 52, 52), 1e-2)
+        cfg, _, _, _ = plus_refine(RunLedger(saxpy_input), (52, 52, 52), 1e-2)
         assert sum(cfg) < 156
 
     def test_respects_floor(self, saxpy_input):
-        cfg, _, _, _ = plus_refine("saxpy", saxpy_input, (52, 52, 52), 1e-2, nbit_min=9)
+        cfg, _, _, _ = plus_refine(RunLedger(saxpy_input), (52, 52, 52), 1e-2, nbit_min=9)
         assert min(cfg) >= 9
 
     def test_infeasible_start_unchanged(self, saxpy_input):
-        cfg, _, runs, _ = plus_refine("saxpy", saxpy_input, (10, 10, 10), 1e-30)
+        cfg, _, runs, _ = plus_refine(RunLedger(saxpy_input), (10, 10, 10), 1e-30)
         assert cfg == (10, 10, 10)
         assert runs > 0
 
     def test_deterministic(self, saxpy_input):
-        a = plus_refine("saxpy", saxpy_input, (52, 52, 52), 1e-6)
-        b = plus_refine("saxpy", saxpy_input, (52, 52, 52), 1e-6)
+        a = plus_refine(RunLedger(saxpy_input), (52, 52, 52), 1e-6)
+        b = plus_refine(RunLedger(saxpy_input), (52, 52, 52), 1e-6)
         assert a == b
 
 
 class TestBaseline:
     def test_feasible_descent(self, saxpy_input):
-        res = fptuning_baseline("saxpy", saxpy_input, 1e-4)
+        res = fptuning_baseline(RunLedger(saxpy_input), 1e-4)
         assert res.status == "feasible"
         assert res.feasible
         assert res.solution is not None
@@ -569,7 +570,7 @@ class TestBaseline:
         assert res.samples_added == 0
 
     def test_infeasible_at_max(self, saxpy_input):
-        res = fptuning_baseline("saxpy", saxpy_input, 1e-20, nbit_max=8)
+        res = fptuning_baseline(RunLedger(saxpy_input), 1e-20, nbit_max=8)
         assert res.status == "infeasible_at_max"
         assert not res.feasible
         assert res.solution is None
@@ -578,8 +579,8 @@ class TestBaseline:
 
 class TestSmartTunePlus:
     def test_refines_smart_tune(self, saxpy_input, saxpy_dataset):
-        base = smart_tune("saxpy", saxpy_input, 1e-4, budget=15, dataset=saxpy_dataset)
-        plus = smart_tune_plus("saxpy", saxpy_input, 1e-4, budget=15, dataset=saxpy_dataset)
+        base = smart_tune(RunLedger(saxpy_input), 1e-4, budget=15, dataset=saxpy_dataset)
+        plus = smart_tune_plus(RunLedger(saxpy_input), 1e-4, budget=15, dataset=saxpy_dataset)
         assert plus.feasible
         assert plus.solution.total_bits <= base.solution.total_bits
         assert plus.actual_error <= 1e-4
@@ -587,11 +588,47 @@ class TestSmartTunePlus:
 
     def test_passes_through_failure(self, saxpy_input):
         ds = flat_dataset(2.0)
-        res = smart_tune_plus(
-            "saxpy", saxpy_input, 1e-10, budget=3, nbit_min=4, nbit_max=6, dataset=ds
-        )
+        res = smart_tune_plus(RunLedger(saxpy_input), 1e-10, budget=3, nbit_min=4, nbit_max=6, dataset=ds)
         assert res.status == "model_infeasible"
         assert res.solution is None
+
+
+class TestRunLedger:
+    @pytest.fixture
+    def made(self, monkeypatch):
+        made = []
+
+        def counted(benchmark, input_set, config):
+            made.append(config)
+            return run_kernel(benchmark, input_set, config)
+
+        monkeypatch.setattr(solve, "run_kernel", counted)
+        return made
+
+    def test_reference_config_reads_zero_without_a_run(self, made, saxpy_input):
+        ledger = RunLedger(saxpy_input)
+        assert ledger.error((52, 52, 52)) == 0.0
+        assert made == [] and ledger.runs == 0
+        assert ledger.ref.tobytes() == reference_output("saxpy", saxpy_input).tobytes()
+
+    def test_a_config_runs_once(self, made, saxpy_input):
+        ledger = RunLedger(saxpy_input)
+        first = ledger.error((10, 10, 10))
+        assert ledger.error((10, 10, 10)) == first
+        assert made == [(10, 10, 10)]
+        assert first == compute_error(run_kernel("saxpy", saxpy_input, (10, 10, 10)), ledger.ref)
+
+    def test_runs_counts_only_real_runs(self, made, saxpy_input):
+        ledger = RunLedger(saxpy_input)
+        for cfg in [(10, 10, 10), (52, 52, 52), (8, 9, 10), (10, 10, 10), (8, 9, 10)]:
+            ledger.error(cfg)
+        assert ledger.runs == len(made) == 2
+
+    def test_errors_hold_every_config_asked_for(self, made, saxpy_input):
+        ledger = RunLedger(saxpy_input)
+        asked = [(10, 10, 10), (4, 5, 6), (52, 52, 52)]
+        got = [ledger.error(cfg) for cfg in asked]
+        assert ledger.errors == dict(zip(asked, got))
 
 
 class TestHonestRunCounts:
@@ -628,31 +665,37 @@ class TestHonestRunCounts:
     @pytest.mark.parametrize("name,target", [("saxpy", 1e-4), ("dwt", 1e-5)])
     def test_baseline(self, made, saxpy_input, dwt_input, name, target):
         inp = saxpy_input if name == "saxpy" else dwt_input
-        res = fptuning_baseline(name, inp, target)
+        res = fptuning_baseline(RunLedger(inp), target)
         assert res.feasible
         self.assert_honest(made, res.kernel_runs)
-        assert res.measured.keys() == set(made)
-        assert res.actual_error == res.measured[res.solution.config]
+        # the all-52 start is the reference run the ledger was seeded with
+        all_max = (52,) * get_benchmark(name).n_var
+        assert all_max not in made
+        assert res.ledger.errors.keys() == set(made) | {all_max}
+        assert res.actual_error == res.ledger.errors[res.solution.config]
 
     @pytest.mark.parametrize("name", ["saxpy", "dwt"])
     def test_plus_refine(self, made, saxpy_input, dwt_input, name):
         inp = saxpy_input if name == "saxpy" else dwt_input
         n = get_benchmark(name).n_var
         ref = reference_output(name, inp)
-        # unknown start error: the start runs at most once, at the end
-        cfg, err, runs, _ = plus_refine(name, inp, (52,) * n, 1e-5)
+        # the all-52 start is in a fresh ledger already: it is never run
+        ledger = RunLedger(inp)
+        cfg, err, runs, _ = plus_refine(ledger, (52,) * n, 1e-5)
         self.assert_honest(made, runs)
+        assert (52,) * n not in made
         assert err == compute_error(run_kernel(name, inp, cfg), ref)
-        # known errors are not run again, and the call adds its own runs
+        # the call entered each of its runs in the ledger
+        assert ledger.errors.keys() == set(made) | {(52,) * n}
+        assert ledger.runs == runs
+        # configs in the ledger are not run again
         made.clear()
-        known = {(52,) * n: 0.0}
-        again = plus_refine(name, inp, (52,) * n, 1e-5, errors=known)
-        self.assert_honest(made, again[2])
+        again = plus_refine(ledger, (52,) * n, 1e-5)
+        assert made == [] and again[2] == 0
         assert again[:2] == (cfg, err)
-        assert known.keys() == set(made) | {(52,) * n}
 
     def test_plus_refine_runs_an_unknown_start_once(self, made, saxpy_input):
-        cfg, err, runs, _ = plus_refine("saxpy", saxpy_input, (10, 10, 10), 1e-30)
+        cfg, err, runs, _ = plus_refine(RunLedger(saxpy_input), (10, 10, 10), 1e-30)
         assert cfg == (10, 10, 10) and made.count(cfg) == 1
         self.assert_honest(made, runs)
         assert err == compute_error(run_kernel("saxpy", saxpy_input, cfg),
@@ -662,10 +705,10 @@ class TestHonestRunCounts:
         for name, inp, ds, target in (("saxpy", saxpy_input, saxpy_dataset, 1e-4),
                                       ("dwt", dwt_input, dwt_dataset, 1e-5)):
             made.clear()
-            res = smart_tune_plus(name, inp, target, budget=15, dataset=ds)
+            res = smart_tune_plus(RunLedger(inp), target, budget=15, dataset=ds)
             assert res.status == "feasible"
             self.assert_honest(made, res.kernel_runs)
-            assert res.actual_error == res.measured[res.solution.config] <= target
+            assert res.actual_error == res.ledger.errors[res.solution.config] <= target
 
     def test_smart_tune_plus_max_descent(self, made, saxpy_input, dwt_input, dwt_dataset):
         # the models promise nothing: flat mediocre errors on saxpy, a
@@ -675,10 +718,10 @@ class TestHonestRunCounts:
             ("dwt", dwt_input, dwt_dataset, 1e-300, {}),
         ):
             made.clear()
-            res = smart_tune_plus(name, inp, target, budget=5, dataset=ds, **box)
+            res = smart_tune_plus(RunLedger(inp), target, budget=5, dataset=ds, **box)
             assert res.status == "max_descent"
             self.assert_honest(made, res.kernel_runs)
-            assert res.actual_error == res.measured[res.solution.config] <= target
+            assert res.actual_error == res.ledger.errors[res.solution.config] <= target
 
 
     BOX = {"nbit_min": 4, "nbit_max": 6}
@@ -713,7 +756,7 @@ class TestHonestRunCounts:
         monkeypatch.setattr(solve, "solve_mp", search)
         if isinstance(kwargs.get("dataset"), str):
             kwargs = {**kwargs, "dataset": request.getfixturevalue(kwargs["dataset"])}
-        res = tune("saxpy", saxpy_input, target, **kwargs)
+        res = tune(RunLedger(saxpy_input), target, **kwargs)
         assert res.status == status
         assert res.feasible == (res.actual_error <= target)
         self.assert_honest(made, res.kernel_runs)
@@ -727,7 +770,7 @@ class TestHonestRunCounts:
         assert res.samples_added == misses
         assert fixed_misses is None or misses == fixed_misses
         if res.solution is not None:
-            assert res.actual_error == res.measured[res.solution.config] == error(res.solution.config)
+            assert res.actual_error == res.ledger.errors[res.solution.config] == error(res.solution.config)
 
 
 class TestBruteForce:
@@ -744,26 +787,26 @@ class TestBruteForce:
             if err <= target:
                 feasible.append(cfg)
         want = min(feasible, key=lambda c: (sum(c), c)) if feasible else None
-        sol = brute_force_optimum("saxpy", saxpy_input, target, nbit_min=lo, nbit_max=hi)
+        sol = brute_force_optimum(RunLedger(saxpy_input), target, nbit_min=lo, nbit_max=hi)
         assert (sol.config if sol else None) == want
 
     def test_none_when_unreachable(self, saxpy_input):
-        sol = brute_force_optimum("saxpy", saxpy_input, 1e-25, nbit_min=2, nbit_max=6)
+        sol = brute_force_optimum(RunLedger(saxpy_input), 1e-25, nbit_min=2, nbit_max=6)
         assert sol is None
 
     def test_cap(self, saxpy_input):
         with pytest.raises(ValueError, match="exceed"):
-            brute_force_optimum("dwt", gen_input_set("dwt", {"n": 64}), 1e-3)
+            brute_force_optimum(RunLedger(gen_input_set("dwt", {"n": 64})), 1e-3)
         assert 52 ** 2 < BRUTE_FORCE_CAP
 
     def test_not_beaten_by_searches(self, saxpy_input, saxpy_dataset):
-        opt = brute_force_optimum("saxpy", saxpy_input, 1e-3, nbit_min=4, nbit_max=20)
+        opt = brute_force_optimum(RunLedger(saxpy_input), 1e-3, nbit_min=4, nbit_max=20)
         assert opt is not None
         tuned = smart_tune_plus(
-            "saxpy", saxpy_input, 1e-3, budget=20, nbit_min=4, nbit_max=20,
+            RunLedger(saxpy_input), 1e-3, budget=20, nbit_min=4, nbit_max=20,
             dataset=replace(saxpy_dataset, samples=list(saxpy_dataset.samples)),
         )
-        base = fptuning_baseline("saxpy", saxpy_input, 1e-3, nbit_min=4, nbit_max=20)
+        base = fptuning_baseline(RunLedger(saxpy_input), 1e-3, nbit_min=4, nbit_max=20)
         assert tuned.feasible
         assert tuned.solution.total_bits >= opt.total_bits
         assert base.solution.total_bits >= opt.total_bits
