@@ -412,14 +412,15 @@ def cmd_tune(args) -> int:
     all_feasible = True
     for target in cfg.targets:
         result, wall_time = _run_method(cfg, ledger, target, dataset, models)
-        sol = result.solution
+        config, pre = result.config, result.pre_refine
+        bits = sum(config) if config is not None else None
         feasible = result.feasible
         all_feasible = all_feasible and feasible
         rows.append(
             [
                 target_slug(target),
                 cfg.mode,
-                sol.total_bits if sol is not None else "",
+                "" if bits is None else bits,
                 repr(result.actual_error),
                 "true" if feasible else "false",
                 result.refinement_iterations,
@@ -432,8 +433,8 @@ def cmd_tune(args) -> int:
                 "benchmark": bench,
                 "mode": cfg.mode,
                 "target": target,
-                "config": list(sol.config) if sol is not None else None,
-                "total_bits": sol.total_bits if sol is not None else None,
+                "config": list(config) if config is not None else None,
+                "total_bits": bits,
                 "actual_error": result.actual_error,
                 "feasible": feasible,
                 "status": result.status,
@@ -442,8 +443,8 @@ def cmd_tune(args) -> int:
                 "adam_steps": result.adam_steps,
                 "search_boxes": result.search_boxes,
                 "kernel_runs": result.kernel_runs,
-                "pre_refine_total_bits": result.pre_refine_total_bits,
-                "pre_refine_error": result.pre_refine_error,
+                "pre_refine_total_bits": sum(pre) if pre is not None else None,
+                "pre_refine_error": ledger.errors[pre] if pre is not None else None,
                 "dataset_runs": dataset_runs,
                 "wall_time_s": wall_time,
                 "nbit_min": cfg.nbit_min,
@@ -453,8 +454,7 @@ def cmd_tune(args) -> int:
             },
         )
         state = "ok" if feasible else f"FAILED ({result.status})"
-        bits = sol.total_bits if sol is not None else "-"
-        print(f"{bench} {cfg.mode} target={target_slug(target)}: {state} bits={bits}")
+        print(f"{bench} {cfg.mode} target={target_slug(target)}: {state} bits={bits or '-'}")
 
     summary_path = os.path.join(outdir, f"{bench}_{cfg.mode}_summary.csv")
     header = ["target", "method", "total_bits", "actual_error", "feasible", "iterations", "kernel_runs"]
@@ -519,7 +519,7 @@ def cmd_transfer(args) -> int:
             # no config found means the target is violated everywhere
             if not result.feasible:
                 return 100.0
-            misses = sum(other.error(result.solution.config) > target for other in others)
+            misses = sum(other.error(result.config) > target for other in others)
             return 100.0 * misses / len(others)
 
         for target in cfg.targets:
@@ -635,10 +635,10 @@ def cmd_oracle(args) -> int:
     all_feasible = True
     for target in cfg.targets:
         try:
-            sol = brute_force_optimum(ledger, target, cfg.nbit_min, cfg.nbit_max)
+            config = brute_force_optimum(ledger, target, cfg.nbit_min, cfg.nbit_max)
         except ValueError as exc:
             raise UsageError(str(exc)) from None
-        if sol is None:
+        if config is None:
             all_feasible = False
             rows.append([target_slug(target), "", "", "false"])
             print(f"{bench} target={target_slug(target)}: no feasible config")
@@ -646,12 +646,12 @@ def cmd_oracle(args) -> int:
         rows.append(
             [
                 target_slug(target),
-                sol.total_bits,
-                " ".join(str(v) for v in sol.config),
-                repr(ledger.error(sol.config)),
+                sum(config),
+                " ".join(str(v) for v in config),
+                repr(ledger.errors[config]),
             ]
         )
-        print(f"{bench} target={target_slug(target)}: bits={sol.total_bits} config={sol.config}")
+        print(f"{bench} target={target_slug(target)}: bits={sum(config)} config={config}")
 
     path = os.path.join(outdir, f"{bench}_oracle.csv")
     write_atomic(

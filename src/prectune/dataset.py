@@ -265,7 +265,15 @@ def load_dataset(path) -> Dataset:
             raise DatasetFormatError(f"{path}:{lineno}: widths {cfg} outside the sidecar's [{lo}, {hi}]")
         if label not in (0, 1):
             raise DatasetFormatError(f"{path}:{lineno}: class {label} is not 0 or 1")
-        samples.append(Sample(cfg, error, log_err, label))
+        if not error >= 0.0:
+            raise DatasetFormatError(f"{path}:{lineno}: error {error!r} is not a number >= 0")
+        # a saved error reads back exactly, and so must what it implies
+        sample = error_sample(cfg, error)
+        if (log_err, label) != (sample.log_err, sample.class_label):
+            raise DatasetFormatError(
+                f"{path}:{lineno}: log_err {log_err!r} and class {label} disagree with error {error!r}"
+            )
+        samples.append(sample)
     if len(samples) != meta["n_samples"]:
         raise DatasetFormatError(
             f"{path}: sidecar promises {meta['n_samples']} samples, file has {len(samples)}"

@@ -36,17 +36,17 @@ counted in its runs.  A ledger is seeded with the reference run itself (the
 all-MANTISSA_MAX config).  The tune, transfer and oracle commands give one
 ledger to all their calls on an input set, so that no config runs twice on
 it in a whole command; each record's kernel_runs counts the runs its own
-call added.
+call added.  Searches and tuners answer with plain width tuples; the error
+of each is read off the ledger.
 
-One verified descent, _descended, lowers a feasible result: plus_refine
-walks its config downward slot by slot with binary search, re-running the
-kernel to keep only improvements that hold up.  It reads and extends the
-result's ledger; the result carries the error measured when its config
-was accepted, and pre_refine_* the config it started from.
-smart_tune_plus descends a feasible smart_tune result.  fptuning_baseline
-descends from the verified all-max config without any models, the
-reference point for run-count comparisons, and so does smart_tune when its
-first models promise nothing.
+plus_refine is the one verified descent: it walks a feasible config
+downward slot by slot with binary search, re-running the kernel through
+the ledger to keep only improvements that hold up.  smart_tune_plus
+descends a feasible smart_tune result, and a result's pre_refine names the
+config its descent started from.  fptuning_baseline descends from the
+verified all-max config without any models, the reference point for
+run-count comparisons, and so does smart_tune when its first models
+promise nothing.
 
 Sum-of-widths ties everywhere resolve to the lexicographically smallest
 config, making every search path deterministic.
@@ -75,27 +75,19 @@ FRONTIER = 32
 
 @dataclass(frozen=True)
 class TuningProblem:
-    benchmark: str
     regressor: MLPModel
     classifier: DTModel
-    target_error: float
     log_target: float
     domain: DomainBox
     edges: tuple
     cuts: frozenset = frozenset()
 
 
-@dataclass(frozen=True)
-class Solution:
-    config: tuple[int, ...]
-    total_bits: int
-    predicted_logerr: float
-    classifier_class: int
-
-
 @dataclass
 class TunedResult:
-    solution: Solution | None
+    # the answer when feasible, else the last proposal verified or None
+    config: tuple[int, ...] | None
+    # ledger.errors[config]; without one, the all-max run's error or inf
     actual_error: float
     refinement_iterations: int
     samples_added: int
@@ -105,10 +97,9 @@ class TunedResult:
     # run on its input set, by this call or by any other call given the same
     # ledger, so that no config is run twice
     ledger: RunLedger = field(repr=False)
-    # filled by smart_tune_plus and by a max_descent result: the config the
-    # descent started from
-    pre_refine_total_bits: int | None = None
-    pre_refine_error: float | None = None
+    # set by smart_tune_plus and by a max_descent result: the config the
+    # descent started from, its error ledger.errors[pre_refine]
+    pre_refine: tuple[int, ...] | None = None
     # Adam updates made by the regressor retrains after misses
     adam_steps: int = 0
     # boxes bounded by all of this call's searches (SearchStats.boxes)
@@ -116,7 +107,7 @@ class TunedResult:
 
     @property
     def feasible(self) -> bool:
-        """solution meets the target: a verified proposal or descent."""
+        """config meets the target: a verified proposal or descent."""
         return self.status in ("feasible", "max_descent")
 
 
@@ -135,10 +126,8 @@ def build_problem(
         raise ValueError(f"target error must be positive, got {target_error}")
     n = get_benchmark(benchmark).n_var
     return TuningProblem(
-        benchmark=benchmark,
         regressor=regressor,
         classifier=classifier,
-        target_error=target_error,
         log_target=log_error(target_error),
         domain=DomainBox((nbit_min,) * n, (nbit_max,) * n),
         edges=dependency_graph(benchmark),
@@ -319,7 +308,7 @@ class SearchStats:
     boxes: int = 0  # boxes bounded by the regressor
 
 
-def solve_mp(problem: TuningProblem, stats: SearchStats | None = None) -> Solution | None:
+def solve_mp(problem: TuningProblem, stats: SearchStats | None = None) -> tuple[int, ...] | None:
     """Minimum-total-width config accepted by both models, or None."""
     edges = problem.edges
     reg = problem.regressor
@@ -402,18 +391,12 @@ def solve_mp(problem: TuningProblem, stats: SearchStats | None = None) -> Soluti
                 heapq.heappush(heap, (sum(half.lo), half.lo, half.hi))
     if best is None:
         return None
-    best_sum, best_cfg = best
+    best_cfg = best[1]
     assert dependency_consistent(best_cfg, edges)
     assert problem.domain.contains(best_cfg)
     pred = predict_logerr(reg, np.array(best_cfg, dtype=np.float64))
-    cls = classify(clf, best_cfg)
-    assert pred >= log_target and cls == 0 and best_cfg not in problem.cuts
-    return Solution(
-        config=best_cfg,
-        total_bits=int(best_sum),
-        predicted_logerr=float(pred),
-        classifier_class=int(cls),
-    )
+    assert pred >= log_target and classify(clf, best_cfg) == 0 and best_cfg not in problem.cuts
+    return best_cfg
 
 
 # --- verify-retrain loop --------------------------------------------------------
@@ -442,10 +425,10 @@ def smart_tune(
     """Propose-verify-retrain on ledger's input set until a config really
     meets the target.
 
-    When the first models promise no config at all, the all-nbit_max config
-    is verified instead.  If it passes, it is walked down with the
-    baseline's descent (status "max_descent"); if it misses, the status is
-    "model_infeasible" with that one run's error.
+    When the first models promise no config at all, the result is
+    fptuning_baseline's, relabelled: a descent from the all-nbit_max config
+    (status "max_descent", pre_refine that config) when it passes, and
+    "model_infeasible" with that one run's error when it misses.
 
     kernel_runs counts the runs this call adds to the ledger, plus the
     dataset construction when no dataset is passed in, adam_steps the Adam
@@ -478,12 +461,12 @@ def smart_tune(
     known = ledger.runs
     stats = SearchStats()
     adam_steps = 0
-    last: Solution | None = None
+    last: tuple[int, ...] | None = None
 
     def result(status: str, rounds: int) -> TunedResult:
         return TunedResult(
-            solution=last,
-            actual_error=ledger.errors[last.config] if last is not None else float("inf"),
+            config=last,
+            actual_error=ledger.errors[last] if last is not None else float("inf"),
             refinement_iterations=rounds,
             samples_added=len(cuts),
             kernel_runs=dataset_runs + ledger.runs - known,
@@ -500,25 +483,26 @@ def smart_tune(
         sol = solve_mp(problem, stats)
         if sol is None and iteration == 1:
             # no verify run yet to learn from: ask the kernel, not the models
-            base = _descent_from_max(ledger, target_error, nbit_min, nbit_max)
+            base = fptuning_baseline(ledger, target_error, nbit_min, nbit_max)
             return replace(
                 base,
                 refinement_iterations=iteration,
                 kernel_runs=dataset_runs + base.kernel_runs,
                 status="max_descent" if base.feasible else "model_infeasible",
+                pre_refine=(nbit_max,) * problem.domain.n_dims if base.feasible else None,
                 search_boxes=stats.boxes,
             )
         if sol is None:
             return result("model_infeasible", iteration)
         last = sol
-        err = ledger.error(sol.config)
+        err = ledger.error(last)
         if err <= target_error:
             return result("feasible", iteration)
         # miss: learn from it and never propose it again; the regressor
         # carries on from its last weights, the classifier is refit, unless
         # no search is left to use them
-        dataset.samples.append(error_sample(sol.config, err))
-        cuts.add(sol.config)
+        dataset.samples.append(error_sample(last, err))
+        cuts.add(last)
         if iteration < budget:
             regressor, classifier = fit_models(dataset, train_cfg, regressor)
             adam_steps += regressor.adam_steps
@@ -533,73 +517,20 @@ def plus_refine(
     config,
     target_error: float,
     nbit_min: int = MANTISSA_MIN,
-) -> tuple[tuple[int, ...], float, int, int]:
+) -> tuple[tuple[int, ...], int]:
     """Binary-search each slot of a feasible config downward, keeping only
-    kernel-verified improvements.  Returns (config, error, kernel_runs,
-    passes).  The total width never increases and feasibility is preserved.
+    kernel-verified improvements.  Returns (config, passes); the total
+    width never increases and feasibility is preserved.
 
-    Every run goes through ledger, so no config is run twice, and the
-    returned error is the one measured when the returned config was
-    accepted (the start's is run at the end if the ledger did not hold it
-    and nothing was accepted); kernel_runs counts the runs this call added
-    to the ledger."""
-    known = ledger.runs
+    Every run goes through ledger, so no config is run twice and the
+    returned config's error is ledger.errors[config]: a start the ledger did
+    not hold is run once even when nothing was accepted.  The call's runs
+    are the growth of ledger.runs."""
     cfg, passes = _descend(
         config, dependency_graph(ledger.benchmark), nbit_min, lambda c: ledger.error(c) <= target_error
     )
-    return cfg, ledger.error(cfg), ledger.runs - known, passes
-
-
-def _measured_solution(config, error: float) -> Solution:
-    """A verified config, with its measured log error and class."""
-    sample = error_sample(config, error)
-    return Solution(
-        config=sample.config,
-        total_bits=sum(sample.config),
-        predicted_logerr=sample.log_err,
-        classifier_class=sample.class_label,
-    )
-
-
-def _descended(result: TunedResult, target_error: float, nbit_min: int) -> tuple[TunedResult, int]:
-    """A feasible result walked down by plus_refine, and the descent's
-    passes.  The descent reads and extends result.ledger, so it runs no
-    config twice; kernel_runs grows by its runs, and pre_refine_* hold the
-    config it started from."""
-    start = result.solution
-    cfg, err, runs, passes = plus_refine(result.ledger, start.config, target_error, nbit_min)
-    assert err <= target_error and sum(cfg) <= start.total_bits
-    return replace(
-        result,
-        solution=_measured_solution(cfg, err),
-        actual_error=err,
-        kernel_runs=result.kernel_runs + runs,
-        pre_refine_total_bits=start.total_bits,
-        pre_refine_error=result.actual_error,
-    ), passes
-
-
-def _descent_from_max(ledger: RunLedger, target_error: float, nbit_min: int, nbit_max: int) -> TunedResult:
-    """Verify the all-nbit_max config through ledger and, if it meets the
-    target, descend from it, the descent's passes counted as iterations."""
-    start = (nbit_max,) * get_benchmark(ledger.benchmark).n_var  # uniform widths always satisfy the edges
-    known = ledger.runs
-    err = ledger.error(start)
-    result = TunedResult(
-        solution=None,
-        actual_error=err,
-        refinement_iterations=0,
-        samples_added=0,
-        kernel_runs=ledger.runs - known,
-        status="infeasible_at_max",
-        ledger=ledger,
-    )
-    if err > target_error:
-        return result
-    result, passes = _descended(
-        replace(result, solution=_measured_solution(start, err), status="feasible"), target_error, nbit_min
-    )
-    return replace(result, refinement_iterations=passes)
+    ledger.error(cfg)
+    return cfg, passes
 
 
 def fptuning_baseline(
@@ -608,21 +539,38 @@ def fptuning_baseline(
     nbit_min: int = MANTISSA_MIN,
     nbit_max: int = MANTISSA_MAX,
 ) -> TunedResult:
-    """Model-free descent from the all-max config on ledger's input set."""
-    result = _descent_from_max(ledger, target_error, nbit_min, nbit_max)
-    # the baseline has no proposal of its own to refine
-    return replace(result, pre_refine_total_bits=None, pre_refine_error=None)
+    """Model-free descent on ledger's input set: the all-nbit_max config is
+    verified and, if it meets the target, walked down by plus_refine, the
+    descent's passes counted as iterations."""
+    start = (nbit_max,) * get_benchmark(ledger.benchmark).n_var  # uniform widths always satisfy the edges
+    known = ledger.runs
+    config, passes, status = None, 0, "infeasible_at_max"
+    error = ledger.error(start)
+    if error <= target_error:
+        config, passes = plus_refine(ledger, start, target_error, nbit_min)
+        error, status = ledger.errors[config], "feasible"
+    return TunedResult(
+        config=config,
+        actual_error=error,
+        refinement_iterations=passes,
+        samples_added=0,
+        kernel_runs=ledger.runs - known,
+        status=status,
+        ledger=ledger,
+    )
 
 
 def smart_tune_plus(ledger: RunLedger, target_error: float, **kwargs) -> TunedResult:
-    """smart_tune followed by the verified descent on its result; the
-    keyword arguments are smart_tune's."""
+    """smart_tune followed by plus_refine on its result; the keyword
+    arguments are smart_tune's."""
     result = smart_tune(ledger, target_error, **kwargs)
     # a max_descent result has been through the same descent already
     if result.status != "feasible":
         return result
-    result, _ = _descended(result, target_error, kwargs.get("nbit_min", MANTISSA_MIN))
-    return result
+    known = ledger.runs
+    config, _ = plus_refine(ledger, result.config, target_error, kwargs.get("nbit_min", MANTISSA_MIN))
+    return replace(result, config=config, actual_error=ledger.errors[config], pre_refine=result.config,
+                   kernel_runs=result.kernel_runs + ledger.runs - known)
 
 
 # --- ground truth for small problems ----------------------------------------------
@@ -633,9 +581,10 @@ def brute_force_optimum(
     target_error: float,
     nbit_min: int = MANTISSA_MIN,
     nbit_max: int = MANTISSA_MAX,
-) -> Solution | None:
-    """Exhaustive search over consistent configs on ledger's input set; min
-    total width, ties to the lexicographically smallest config."""
+) -> tuple[int, ...] | None:
+    """Exhaustive search over consistent configs on ledger's input set: the
+    feasible one of min total width, ties to the lexicographically smallest
+    config, or None."""
     benchmark = ledger.benchmark
     edges = dependency_graph(benchmark)
     n = get_benchmark(benchmark).n_var
@@ -649,8 +598,6 @@ def brute_force_optimum(
     box = DomainBox((nbit_min,) * n, (nbit_max,) * n)
 
     best: tuple[int, ...] | None = None
-    best_sum = 0
-    best_err = float("inf")
 
     def fill(values):
         cfg = [nbit_min] * n
@@ -663,13 +610,8 @@ def brute_force_optimum(
         cfg = fill(values)
         if not dependency_consistent(cfg, edges) or not box.contains(cfg):
             continue
-        total = sum(cfg)
-        if best is not None and (total > best_sum or (total == best_sum and cfg >= best)):
+        if best is not None and (sum(cfg), cfg) >= (sum(best), best):
             continue
-        err = ledger.error(cfg)
-        if err <= target_error:
-            best, best_sum, best_err = cfg, total, err
-
-    if best is None:
-        return None
-    return _measured_solution(best, best_err)
+        if ledger.error(cfg) <= target_error:
+            best = cfg
+    return best

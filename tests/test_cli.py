@@ -364,10 +364,12 @@ class TestTuneCommand:
         ("widths", ":3: widths (99, 5, 5)"),
         ("class", ":3: class 7"),
         ("nbit_lo", "'nbit_lo' -5"),
+        ("error", ":3: log_err 35.0 and class 1 disagree with error 0.001"),
     ])
     def test_prebuilt_dataset_malformed_refused(self, tmp_path, capsys, edit, named):
-        # a width outside the sidecar's box, a class other than 0 or 1 and a
-        # box outside [1, 52] are refused, not trained on
+        # a width outside the sidecar's box, a class other than 0 or 1, a box
+        # outside [1, 52] and a row whose log_err and class contradict its
+        # error are refused, not trained on
         assert run("dataset", "--benchmark", "saxpy", "--dataset-size", "30",
                    "--shape", "n=64", "--out", str(tmp_path)) == EXIT_OK
         path = tmp_path / "saxpy_dataset.csv"
@@ -376,6 +378,8 @@ class TestTuneCommand:
             lines[2] = "99,5,5," + lines[2].split(",", 3)[3]
         elif edit == "class":
             lines[2] = lines[2].rsplit(",", 1)[0] + ",7"
+        elif edit == "error":
+            lines[2] = lines[2].rsplit(",", 3)[0] + ",0.001,35.0,1"
         else:
             sidecar = tmp_path / "saxpy_dataset.csv.meta.json"
             sidecar.write_text(json.dumps({**json.loads(sidecar.read_text()), "nbit_lo": -5}))
@@ -437,6 +441,61 @@ class TestTuneCommand:
                  "--target", "1e-3,0.001", "--out", str(tmp_path))
         assert rc == EXIT_USAGE
         assert not list(tmp_path.iterdir())
+
+
+class TestPreRefineRecords:
+    """The tune records' pre_refine_total_bits and pre_refine_error: the
+    config a descent started from, its bits and measured error."""
+
+    TARGETS = "1e-1,1e-3,1e-5"
+
+    @staticmethod
+    def records(out, mode, targets):
+        return [json.loads((out / f"saxpy_{mode}_{target_slug(float(t))}.json").read_text())
+                for t in targets.split(",")]
+
+    def test_smart_plus_starts_from_the_smart_answer(self, tmp_path):
+        # on the same seeds the two modes verify the same proposals
+        for mode in ("smart", "smart_plus"):
+            assert run("tune", "--benchmark", "saxpy", "--mode", mode, "--target", self.TARGETS,
+                       *FAST, "--out", str(tmp_path / mode)) == EXIT_OK
+        pairs = zip(self.records(tmp_path / "smart", "smart", self.TARGETS),
+                    self.records(tmp_path / "smart_plus", "smart_plus", self.TARGETS))
+        for smart, plus in pairs:
+            assert smart["pre_refine_total_bits"] is None and smart["pre_refine_error"] is None
+            assert plus["status"] == smart["status"] == "feasible"
+            assert plus["pre_refine_total_bits"] == smart["total_bits"] >= plus["total_bits"]
+            assert plus["pre_refine_error"] == smart["actual_error"]
+
+    @pytest.mark.parametrize("mode", ["smart", "smart_plus"])
+    def test_max_descent_starts_from_all_max(self, tmp_path, mode):
+        # a dataset claiming error 1e-2 everywhere: the first models promise
+        # nothing at 1e-5, so the all-20 config is verified and descended
+        assert run("dataset", "--benchmark", "saxpy", "--dataset-size", "30", "--nbit-max", "20",
+                   "--shape", "n=64", "--out", str(tmp_path)) == EXIT_OK
+        path = tmp_path / "saxpy_dataset.csv"
+        flat = dataset.error_sample((1, 1, 1), 1e-2)
+        lines = path.read_text().splitlines()
+        lines[1:] = [f"{line.rsplit(',', 3)[0]},{flat.error!r},{flat.log_err!r},{flat.class_label}"
+                     for line in lines[1:]]
+        path.write_text("\n".join(lines) + "\n")
+        rc = run("tune", "--benchmark", "saxpy", "--mode", mode, "--target", "1e-5", "--nbit-max", "20",
+                 "--shape", "n=64", "--dataset", str(path), "--out", str(tmp_path))
+        assert rc == EXIT_OK
+        (rec,) = self.records(tmp_path, mode, "1e-5")
+        assert rec["status"] == "max_descent"
+        inp = cli.run_input_set(config_of("--shape", "n=64"), "saxpy")
+        all_max = dataset.run_kernel("saxpy", inp, [20, 20, 20])
+        assert rec["pre_refine_total_bits"] == 3 * 20 > rec["total_bits"]
+        assert rec["pre_refine_error"] == dataset.compute_error(all_max, dataset.reference_output("saxpy", inp))
+        assert rec["pre_refine_error"] > 0.0
+
+    def test_baseline_has_no_start_of_its_own(self, tmp_path):
+        assert run("tune", "--benchmark", "saxpy", "--mode", "baseline", "--target", self.TARGETS,
+                   "--shape", "n=64", "--out", str(tmp_path)) == EXIT_OK
+        for rec in self.records(tmp_path, "baseline", self.TARGETS):
+            assert rec["feasible"] is True
+            assert rec["pre_refine_total_bits"] is None and rec["pre_refine_error"] is None
 
 
 class TestRunLedger:

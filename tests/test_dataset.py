@@ -407,3 +407,42 @@ class TestSerialization:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(DatasetFormatError, match=f":3: class {label} is not 0 or 1"):
             load_dataset(path)
+
+    @staticmethod
+    def with_tail(tmp_path, tail):
+        """A saved saxpy dataset whose line 3 keeps its widths and ends in
+        tail, its error, log_err and class columns."""
+        ds = build_dataset("saxpy", n_samples=3, shape={"n": 16})
+        path = tmp_path / "ds.csv"
+        save_dataset(ds, path)
+        lines = path.read_text().splitlines()
+        lines[2] = ",".join(lines[2].split(",")[:3] + [tail])
+        path.write_text("\n".join(lines) + "\n")
+        return path
+
+    @pytest.mark.parametrize("tail,named", [
+        ("0.001,35.0,1", "log_err 35.0 and class 1 disagree with error 0.001"),
+        ("0.001,35.0,0", "log_err 35.0 and class 0 disagree with error 0.001"),
+        ("0.001,3.0,1", "log_err 3.0 and class 1 disagree with error 0.001"),
+        ("inf,-40.0,0", "log_err -40.0 and class 0 disagree with error inf"),
+        ("nan,nan,0", "error nan is not a number >= 0"),
+        ("nan,3.0,0", "error nan is not a number >= 0"),
+        ("-0.5,40.0,0", "error -0.5 is not a number >= 0"),
+    ])
+    def test_row_contradicting_its_error_reports_line(self, tmp_path, tail, named):
+        with pytest.raises(DatasetFormatError, match=":3: " + named):
+            load_dataset(self.with_tail(tmp_path, tail))
+
+    @pytest.mark.parametrize("error", [0.0, 1e-3, 0.95, math.inf])
+    def test_row_agreeing_with_its_error_loads(self, tmp_path, error):
+        s = error_sample((1, 1, 1), error)
+        path = self.with_tail(tmp_path, f"{s.error!r},{s.log_err!r},{s.class_label}")
+        loaded = load_dataset(path).samples[1]
+        assert (loaded.error, loaded.log_err, loaded.class_label) == (s.error, s.log_err, s.class_label)
+
+    def test_loaded_rows_are_rebuilt_from_their_errors(self, tmp_path):
+        ds = build_dataset("saxpy", n_samples=40, shape={"n": 16}, seed_input=3)
+        path = tmp_path / "ds.csv"
+        save_dataset(ds, path)
+        back = load_dataset(path).samples
+        assert back == [error_sample(s.config, s.error) for s in ds.samples] == ds.samples

@@ -276,9 +276,7 @@ class TestSolveMP:
         if want is None:
             assert sol is None
         else:
-            assert sol is not None
-            assert sol.config == want
-            assert sol.total_bits == sum(want)
+            assert sol == want
 
     def test_matches_enumeration_with_cuts(self, saxpy_models):
         reg, clf = saxpy_models
@@ -286,25 +284,23 @@ class TestSolveMP:
         first = solve_mp(prob)
         assert first is not None
         cut_prob = build_problem(
-            "saxpy", reg, clf, 1e-5, nbit_min=4, nbit_max=20, cuts=[first.config]
+            "saxpy", reg, clf, 1e-5, nbit_min=4, nbit_max=20, cuts=[first]
         )
         second = solve_mp(cut_prob)
-        want = enumeration_optimum(cut_prob)
-        assert (second.config if second else None) == want
+        assert second == enumeration_optimum(cut_prob)
         if second is not None:
-            assert second.config != first.config
-            assert second.total_bits >= first.total_bits
+            assert second != first
+            assert sum(second) >= sum(first)
 
     def test_solution_invariants(self, saxpy_models):
         reg, clf = saxpy_models
         prob = build_problem("saxpy", reg, clf, 1e-5, nbit_min=2, nbit_max=20)
         sol = solve_mp(prob)
         assert sol is not None
-        assert dependency_consistent(sol.config, prob.edges)
-        assert prob.domain.contains(sol.config)
-        assert sol.predicted_logerr >= prob.log_target
-        assert sol.classifier_class == 0
-        assert sol.total_bits == sum(sol.config)
+        assert dependency_consistent(sol, prob.edges)
+        assert prob.domain.contains(sol)
+        assert predict_logerr(reg, np.array(sol, dtype=np.float64)) >= prob.log_target
+        assert classify(clf, sol) == 0
 
     def test_deterministic(self, saxpy_models):
         reg, clf = saxpy_models
@@ -325,8 +321,7 @@ class TestSolveMP:
         clf = train_classifier(ds)
         prob = build_problem("saxpy", reg, clf, 1e-30, nbit_min=4, nbit_max=6)
         sol = solve_mp(prob)
-        assert sol is not None
-        assert sol.config == (4, 4, 4)
+        assert sol == (4, 4, 4)
 
 
 @pytest.fixture(scope="module")
@@ -345,10 +340,9 @@ class TestBestFirstSearch:
         prob = build_problem("dwt", reg, clf, target, nbit_min=8, nbit_max=12)
         sol = solve_mp(prob)
         want = enumeration_optimum(prob)
-        assert want is not None and sol.config == want
+        assert want is not None and sol == want
         cut_prob = build_problem("dwt", reg, clf, target, nbit_min=8, nbit_max=12, cuts=[want])
-        second = solve_mp(cut_prob)
-        assert (second.config if second else None) == enumeration_optimum(cut_prob)
+        assert solve_mp(cut_prob) == enumeration_optimum(cut_prob)
 
     @pytest.mark.parametrize("bench,target", [("dwt", 1e-3), ("dwt", 1e-6), ("saxpy", 1e-5)])
     def test_frontier_size_keeps_the_answer(self, monkeypatch, dwt_models, saxpy_models, bench, target):
@@ -382,13 +376,13 @@ class TestSmartTune:
         res = smart_tune(RunLedger(saxpy_input), 1e-3, budget=15, dataset=saxpy_dataset)
         assert res.status == "feasible"
         assert res.feasible
-        assert res.solution is not None
+        assert res.config is not None
         assert res.actual_error <= 1e-3
-        assert dependency_consistent(res.solution.config, dependency_graph("saxpy"))
+        assert dependency_consistent(res.config, dependency_graph("saxpy"))
         assert res.refinement_iterations >= 1
         assert res.kernel_runs >= res.refinement_iterations
         # verification against the real kernel, not the model's guess
-        out = run_kernel("saxpy", saxpy_input, res.solution.config)
+        out = run_kernel("saxpy", saxpy_input, res.config)
         ref = reference_output("saxpy", saxpy_input)
         assert compute_error(out, ref) == res.actual_error
 
@@ -402,7 +396,7 @@ class TestSmartTune:
         res = smart_tune(RunLedger(saxpy_input), 1e-3, budget=0, dataset=saxpy_dataset)
         assert res.status == "budget_exhausted"
         assert not res.feasible
-        assert res.solution is None
+        assert res.config is None
         assert res.refinement_iterations == 0
         assert res.samples_added == 0
         assert res.kernel_runs == 0
@@ -415,11 +409,11 @@ class TestSmartTune:
         res = smart_tune(RunLedger(saxpy_input), 1e-10, budget=5, nbit_min=4, nbit_max=6, dataset=ds)
         assert res.status == "model_infeasible"
         assert not res.feasible
-        assert res.solution is None
+        assert res.config is None
         assert res.actual_error > 1e-10
         assert res.refinement_iterations == 1
         assert res.kernel_runs == 1
-        assert res.pre_refine_total_bits is None and res.pre_refine_error is None
+        assert res.pre_refine is None
 
     def test_model_infeasible_but_max_passes(self, saxpy_input):
         # the models promise nothing at round 1, yet the all-max config meets
@@ -429,21 +423,21 @@ class TestSmartTune:
         base = fptuning_baseline(RunLedger(saxpy_input), 1e-3, nbit_min=4, nbit_max=6)
         assert res.status == "max_descent"
         assert res.feasible and res.actual_error <= 1e-3
-        assert res.solution == base.solution
+        assert res.config == base.config
         assert res.kernel_runs == base.kernel_runs
         assert res.refinement_iterations == 1
         assert res.samples_added == 0
         # the descent started from the all-max run
         max_err = compute_error(run_kernel("saxpy", saxpy_input, (6, 6, 6)),
                                 reference_output("saxpy", saxpy_input))
-        assert res.pre_refine_total_bits == 18
-        assert res.pre_refine_error == max_err
-        assert base.pre_refine_total_bits is None and base.pre_refine_error is None
+        assert res.pre_refine == (6, 6, 6)
+        assert res.ledger.errors[res.pre_refine] == max_err
+        assert base.pre_refine is None
         # smart_tune_plus does not walk the same descent a second time
         plus = smart_tune_plus(RunLedger(saxpy_input), 1e-3, budget=5, nbit_min=4, nbit_max=6, dataset=ds)
-        assert plus.solution == res.solution and plus.kernel_runs == res.kernel_runs
+        assert plus.config == res.config and plus.kernel_runs == res.kernel_runs
         assert plus.status == "max_descent"
-        assert plus.pre_refine_total_bits == 18 and plus.pre_refine_error == max_err
+        assert plus.pre_refine == (6, 6, 6) and plus.ledger.errors[plus.pre_refine] == max_err
 
     def test_budget_exhausted_records_miss(self, saxpy_input):
         # the models promise 1e-35 everywhere; reality disagrees
@@ -451,8 +445,7 @@ class TestSmartTune:
         res = smart_tune(RunLedger(saxpy_input), 1e-30, budget=1, nbit_min=4, nbit_max=6, dataset=ds)
         assert res.status == "budget_exhausted"
         assert not res.feasible
-        assert res.solution is not None
-        assert res.solution.config == (4, 4, 4)
+        assert res.config == (4, 4, 4)
         assert res.actual_error > 1e-30
         assert res.samples_added == 1
         assert res.kernel_runs == 1
@@ -491,7 +484,7 @@ class TestSmartTune:
     def test_deterministic(self, saxpy_input, saxpy_dataset):
         a = smart_tune(RunLedger(saxpy_input), 1e-4, budget=10, dataset=saxpy_dataset)
         b = smart_tune(RunLedger(saxpy_input), 1e-4, budget=10, dataset=saxpy_dataset)
-        assert a.solution == b.solution
+        assert a.config == b.config
         assert a.actual_error == b.actual_error
         assert a.refinement_iterations == b.refinement_iterations
         assert a.samples_added == b.samples_added
@@ -524,8 +517,8 @@ class TestModelInfeasibleAtRoundOne:
         assert res.kernel_runs > 0
         assert res.feasible and res.actual_error <= self.TARGET
         assert res.status == "max_descent"
-        assert res.pre_refine_total_bits == 104
-        assert res.solution.total_bits <= res.pre_refine_total_bits
+        assert res.pre_refine == (52, 52)
+        assert sum(res.config) <= sum(res.pre_refine)
 
 
 class TestPlusRefine:
@@ -533,24 +526,26 @@ class TestPlusRefine:
     def test_never_worse_and_stays_feasible(self, saxpy_input, target):
         start = (52, 52, 52)
         ref = reference_output("saxpy", saxpy_input)
-        cfg, err, runs, passes = plus_refine(RunLedger(saxpy_input), start, target)
+        ledger = RunLedger(saxpy_input)
+        cfg, passes = plus_refine(ledger, start, target)
         assert sum(cfg) <= sum(start)
-        assert runs > 0 and passes >= 1
+        assert ledger.runs > 0 and passes >= 1
         assert dependency_consistent(cfg, dependency_graph("saxpy"))
-        assert compute_error(run_kernel("saxpy", saxpy_input, cfg), ref) == err <= target
+        assert compute_error(run_kernel("saxpy", saxpy_input, cfg), ref) == ledger.errors[cfg] <= target
 
     def test_actually_improves_from_max(self, saxpy_input):
-        cfg, _, _, _ = plus_refine(RunLedger(saxpy_input), (52, 52, 52), 1e-2)
+        cfg, _ = plus_refine(RunLedger(saxpy_input), (52, 52, 52), 1e-2)
         assert sum(cfg) < 156
 
     def test_respects_floor(self, saxpy_input):
-        cfg, _, _, _ = plus_refine(RunLedger(saxpy_input), (52, 52, 52), 1e-2, nbit_min=9)
+        cfg, _ = plus_refine(RunLedger(saxpy_input), (52, 52, 52), 1e-2, nbit_min=9)
         assert min(cfg) >= 9
 
     def test_infeasible_start_unchanged(self, saxpy_input):
-        cfg, _, runs, _ = plus_refine(RunLedger(saxpy_input), (10, 10, 10), 1e-30)
+        ledger = RunLedger(saxpy_input)
+        cfg, _ = plus_refine(ledger, (10, 10, 10), 1e-30)
         assert cfg == (10, 10, 10)
-        assert runs > 0
+        assert ledger.runs > 0
 
     def test_deterministic(self, saxpy_input):
         a = plus_refine(RunLedger(saxpy_input), (52, 52, 52), 1e-6)
@@ -563,9 +558,9 @@ class TestBaseline:
         res = fptuning_baseline(RunLedger(saxpy_input), 1e-4)
         assert res.status == "feasible"
         assert res.feasible
-        assert res.solution is not None
+        assert res.config is not None
         assert res.actual_error <= 1e-4
-        assert res.solution.total_bits < 156
+        assert sum(res.config) < 156
         assert res.kernel_runs >= 3
         assert res.samples_added == 0
 
@@ -573,7 +568,7 @@ class TestBaseline:
         res = fptuning_baseline(RunLedger(saxpy_input), 1e-20, nbit_max=8)
         assert res.status == "infeasible_at_max"
         assert not res.feasible
-        assert res.solution is None
+        assert res.config is None
         assert res.kernel_runs == 1
 
 
@@ -582,7 +577,7 @@ class TestSmartTunePlus:
         base = smart_tune(RunLedger(saxpy_input), 1e-4, budget=15, dataset=saxpy_dataset)
         plus = smart_tune_plus(RunLedger(saxpy_input), 1e-4, budget=15, dataset=saxpy_dataset)
         assert plus.feasible
-        assert plus.solution.total_bits <= base.solution.total_bits
+        assert sum(plus.config) <= sum(base.config)
         assert plus.actual_error <= 1e-4
         assert plus.kernel_runs >= base.kernel_runs
 
@@ -590,7 +585,7 @@ class TestSmartTunePlus:
         ds = flat_dataset(2.0)
         res = smart_tune_plus(RunLedger(saxpy_input), 1e-10, budget=3, nbit_min=4, nbit_max=6, dataset=ds)
         assert res.status == "model_infeasible"
-        assert res.solution is None
+        assert res.config is None
 
 
 class TestRunLedger:
@@ -672,7 +667,7 @@ class TestHonestRunCounts:
         all_max = (52,) * get_benchmark(name).n_var
         assert all_max not in made
         assert res.ledger.errors.keys() == set(made) | {all_max}
-        assert res.actual_error == res.ledger.errors[res.solution.config]
+        assert res.actual_error == res.ledger.errors[res.config]
 
     @pytest.mark.parametrize("name", ["saxpy", "dwt"])
     def test_plus_refine(self, made, saxpy_input, dwt_input, name):
@@ -681,25 +676,26 @@ class TestHonestRunCounts:
         ref = reference_output(name, inp)
         # the all-52 start is in a fresh ledger already: it is never run
         ledger = RunLedger(inp)
-        cfg, err, runs, _ = plus_refine(ledger, (52,) * n, 1e-5)
-        self.assert_honest(made, runs)
+        cfg, _ = plus_refine(ledger, (52,) * n, 1e-5)
+        self.assert_honest(made, ledger.runs)
         assert (52,) * n not in made
-        assert err == compute_error(run_kernel(name, inp, cfg), ref)
+        assert ledger.errors[cfg] == compute_error(run_kernel(name, inp, cfg), ref)
         # the call entered each of its runs in the ledger
         assert ledger.errors.keys() == set(made) | {(52,) * n}
-        assert ledger.runs == runs
         # configs in the ledger are not run again
         made.clear()
-        again = plus_refine(ledger, (52,) * n, 1e-5)
-        assert made == [] and again[2] == 0
-        assert again[:2] == (cfg, err)
+        runs = ledger.runs
+        again, _ = plus_refine(ledger, (52,) * n, 1e-5)
+        assert made == [] and ledger.runs == runs
+        assert again == cfg
 
     def test_plus_refine_runs_an_unknown_start_once(self, made, saxpy_input):
-        cfg, err, runs, _ = plus_refine(RunLedger(saxpy_input), (10, 10, 10), 1e-30)
+        ledger = RunLedger(saxpy_input)
+        cfg, _ = plus_refine(ledger, (10, 10, 10), 1e-30)
         assert cfg == (10, 10, 10) and made.count(cfg) == 1
-        self.assert_honest(made, runs)
-        assert err == compute_error(run_kernel("saxpy", saxpy_input, cfg),
-                                    reference_output("saxpy", saxpy_input))
+        self.assert_honest(made, ledger.runs)
+        assert ledger.errors[cfg] == compute_error(run_kernel("saxpy", saxpy_input, cfg),
+                                                   reference_output("saxpy", saxpy_input))
 
     def test_smart_tune_plus_feasible(self, made, saxpy_input, saxpy_dataset, dwt_input, dwt_dataset):
         for name, inp, ds, target in (("saxpy", saxpy_input, saxpy_dataset, 1e-4),
@@ -708,7 +704,7 @@ class TestHonestRunCounts:
             res = smart_tune_plus(RunLedger(inp), target, budget=15, dataset=ds)
             assert res.status == "feasible"
             self.assert_honest(made, res.kernel_runs)
-            assert res.actual_error == res.ledger.errors[res.solution.config] <= target
+            assert res.actual_error == res.ledger.errors[res.config] <= target
 
     def test_smart_tune_plus_max_descent(self, made, saxpy_input, dwt_input, dwt_dataset):
         # the models promise nothing: flat mediocre errors on saxpy, a
@@ -721,7 +717,7 @@ class TestHonestRunCounts:
             res = smart_tune_plus(RunLedger(inp), target, budget=5, dataset=ds, **box)
             assert res.status == "max_descent"
             self.assert_honest(made, res.kernel_runs)
-            assert res.actual_error == res.ledger.errors[res.solution.config] <= target
+            assert res.actual_error == res.ledger.errors[res.config] <= target
 
 
     BOX = {"nbit_min": 4, "nbit_max": 6}
@@ -766,11 +762,11 @@ class TestHonestRunCounts:
             return compute_error(run_kernel("saxpy", saxpy_input, cfg), ref)
 
         # a miss is a model proposal that the kernel run refutes
-        misses = sum(error(sol.config) > target for sol in proposed if sol is not None)
+        misses = sum(error(sol) > target for sol in proposed if sol is not None)
         assert res.samples_added == misses
         assert fixed_misses is None or misses == fixed_misses
-        if res.solution is not None:
-            assert res.actual_error == res.ledger.errors[res.solution.config] == error(res.solution.config)
+        if res.config is not None:
+            assert res.actual_error == res.ledger.errors[res.config] == error(res.config)
 
 
 class TestBruteForce:
@@ -788,7 +784,7 @@ class TestBruteForce:
                 feasible.append(cfg)
         want = min(feasible, key=lambda c: (sum(c), c)) if feasible else None
         sol = brute_force_optimum(RunLedger(saxpy_input), target, nbit_min=lo, nbit_max=hi)
-        assert (sol.config if sol else None) == want
+        assert sol == want
 
     def test_none_when_unreachable(self, saxpy_input):
         sol = brute_force_optimum(RunLedger(saxpy_input), 1e-25, nbit_min=2, nbit_max=6)
@@ -808,5 +804,5 @@ class TestBruteForce:
         )
         base = fptuning_baseline(RunLedger(saxpy_input), 1e-3, nbit_min=4, nbit_max=20)
         assert tuned.feasible
-        assert tuned.solution.total_bits >= opt.total_bits
-        assert base.solution.total_bits >= opt.total_bits
+        assert sum(tuned.config) >= sum(opt)
+        assert sum(base.config) >= sum(opt)
