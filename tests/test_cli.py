@@ -38,6 +38,11 @@ def config_of(*argv) -> RunConfig:
     return make_run_config(build_parser().parse_args(["dataset", *argv]))
 
 
+def tune_records(out, mode, targets) -> list[dict]:
+    """The saxpy tune records of mode under out, one per target."""
+    return [json.loads((out / f"saxpy_{mode}_{target_slug(float(t))}.json").read_text()) for t in targets]
+
+
 SCALAR_FIELDS = [f.name for f in fields(RunConfig) if type(f.default) in (int, float, str)]
 # a valid value other than the default for each scalar setting
 NON_DEFAULT = {
@@ -447,20 +452,15 @@ class TestPreRefineRecords:
     """The tune records' pre_refine_total_bits and pre_refine_error: the
     config a descent started from, its bits and measured error."""
 
-    TARGETS = "1e-1,1e-3,1e-5"
-
-    @staticmethod
-    def records(out, mode, targets):
-        return [json.loads((out / f"saxpy_{mode}_{target_slug(float(t))}.json").read_text())
-                for t in targets.split(",")]
+    TARGETS = ("1e-1", "1e-3", "1e-5")
 
     def test_smart_plus_starts_from_the_smart_answer(self, tmp_path):
         # on the same seeds the two modes verify the same proposals
         for mode in ("smart", "smart_plus"):
-            assert run("tune", "--benchmark", "saxpy", "--mode", mode, "--target", self.TARGETS,
+            assert run("tune", "--benchmark", "saxpy", "--mode", mode, "--target", ",".join(self.TARGETS),
                        *FAST, "--out", str(tmp_path / mode)) == EXIT_OK
-        pairs = zip(self.records(tmp_path / "smart", "smart", self.TARGETS),
-                    self.records(tmp_path / "smart_plus", "smart_plus", self.TARGETS))
+        pairs = zip(tune_records(tmp_path / "smart", "smart", self.TARGETS),
+                    tune_records(tmp_path / "smart_plus", "smart_plus", self.TARGETS))
         for smart, plus in pairs:
             assert smart["pre_refine_total_bits"] is None and smart["pre_refine_error"] is None
             assert plus["status"] == smart["status"] == "feasible"
@@ -482,7 +482,7 @@ class TestPreRefineRecords:
         rc = run("tune", "--benchmark", "saxpy", "--mode", mode, "--target", "1e-5", "--nbit-max", "20",
                  "--shape", "n=64", "--dataset", str(path), "--out", str(tmp_path))
         assert rc == EXIT_OK
-        (rec,) = self.records(tmp_path, mode, "1e-5")
+        (rec,) = tune_records(tmp_path, mode, ["1e-5"])
         assert rec["status"] == "max_descent"
         inp = cli.run_input_set(config_of("--shape", "n=64"), "saxpy")
         all_max = dataset.run_kernel("saxpy", inp, [20, 20, 20])
@@ -491,9 +491,9 @@ class TestPreRefineRecords:
         assert rec["pre_refine_error"] > 0.0
 
     def test_baseline_has_no_start_of_its_own(self, tmp_path):
-        assert run("tune", "--benchmark", "saxpy", "--mode", "baseline", "--target", self.TARGETS,
+        assert run("tune", "--benchmark", "saxpy", "--mode", "baseline", "--target", ",".join(self.TARGETS),
                    "--shape", "n=64", "--out", str(tmp_path)) == EXIT_OK
-        for rec in self.records(tmp_path, "baseline", self.TARGETS):
+        for rec in tune_records(tmp_path, "baseline", self.TARGETS):
             assert rec["feasible"] is True
             assert rec["pre_refine_total_bits"] is None and rec["pre_refine_error"] is None
 
@@ -522,15 +522,11 @@ class TestRunLedger:
             monkeypatch.setattr(module, "run_kernel", counted(module.run_kernel))
         return made
 
-    @staticmethod
-    def records(out, mode, targets):
-        return [json.loads((out / f"saxpy_{mode}_{target_slug(float(t))}.json").read_text()) for t in targets]
-
     @pytest.mark.parametrize("mode", ["baseline", "smart_plus"])
     def test_each_config_runs_once(self, tmp_path, made, mode):
         args = ("tune", "--benchmark", "saxpy", "--mode", mode, *FAST)
         assert run(*args, "--target", ",".join(self.TARGETS), "--out", str(tmp_path / "all")) == EXIT_OK
-        together = self.records(tmp_path / "all", mode, self.TARGETS)
+        together = tune_records(tmp_path / "all", mode, self.TARGETS)
         assert made.count((52, 52, 52)) == 1
         assert len(set(made)) == len(made)
         # every run but the reference run is some target's
@@ -538,7 +534,7 @@ class TestRunLedger:
         for target, rec in zip(self.TARGETS, together):
             made.clear()
             assert run(*args, "--target", target, "--out", str(tmp_path / target)) == EXIT_OK
-            (alone,) = self.records(tmp_path / target, mode, [target])
+            (alone,) = tune_records(tmp_path / target, mode, [target])
             assert alone["kernel_runs"] == len(made) - 1
             for key in ("config", "actual_error", "status", "iterations"):
                 assert rec[key] == alone[key], key
