@@ -36,7 +36,11 @@ LOG_ERR_CAP = 40.0
 CLASS_THRESHOLD = 0.9
 _REF_EPS = 1e-60
 # 32 configs of a 1024-value input per kernel run: the per-call cost of the
-# emulation is spread thin for under a megabyte more peak memory
+# emulation is spread thin for about 2 MB more peak memory, most of it the
+# rounding constants the batch writes out per value shape (1.1-2.0 MB
+# traced for one batch of fwt, saxpy, convolution 32x32 or correlation
+# 16x64); at 2x and 4x the size, builds of those two were no faster and
+# their traced peak grew by 2-6 MB
 BATCH_ELEMENTS = 1 << 15
 
 
@@ -95,16 +99,26 @@ def lhs_configs(n_samples: int, n_dims: int, lo: int, hi: int, seed: int) -> np.
     return out
 
 
-def compute_error(out: np.ndarray, ref: np.ndarray) -> float:
-    out = np.asarray(out, dtype=np.float64)
+def compute_errors(outs: np.ndarray, ref: np.ndarray) -> np.ndarray:
+    """The error of each output stacked along outs' first axis against
+    ref, in one pass of float64 operations that are elementwise but for
+    the per-row max, so a row's error is that of its output alone."""
+    outs = np.asarray(outs, dtype=np.float64)
     ref = np.asarray(ref, dtype=np.float64)
-    if out.shape != ref.shape:
-        raise ValueError(f"output shape {out.shape} != reference shape {ref.shape}")
-    if not np.all(np.isfinite(out)):
-        return float("inf")
-    rel = (out - ref) ** 2 / np.maximum(ref**2, _REF_EPS)
-    worst = float(np.max(rel))
-    return worst if worst == worst else float("inf")
+    if outs.shape[1:] != ref.shape:
+        raise ValueError(f"output shape {outs.shape[1:]} != reference shape {ref.shape}")
+    axes = tuple(range(1, outs.ndim))
+    # a row with a non-finite output or a NaN worst is inf, whatever the
+    # arithmetic of its other values gave
+    with np.errstate(over="ignore", invalid="ignore"):
+        rel = (outs - ref) ** 2 / np.maximum(ref**2, _REF_EPS)
+    worst = np.max(rel, axis=axes)
+    worst[~(np.isfinite(outs).all(axis=axes) & (worst == worst))] = np.inf
+    return worst
+
+
+def compute_error(out: np.ndarray, ref: np.ndarray) -> float:
+    return float(compute_errors(np.asarray(out)[None], ref)[0])
 
 
 def log_error(error: float) -> float:
@@ -153,8 +167,8 @@ def build_dataset(
     samples = []
     for i in range(0, n_samples, step):
         batch = configs[i : i + step]
-        outs = run_kernel(benchmark, input_set, batch)
-        samples.extend(error_sample(cfg, compute_error(out, ref)) for cfg, out in zip(batch, outs))
+        errors = compute_errors(run_kernel(benchmark, input_set, batch), ref).tolist()
+        samples.extend(error_sample(cfg, err) for cfg, err in zip(batch, errors))
     return Dataset(
         benchmark=benchmark,
         nbit_lo=nbit_lo,

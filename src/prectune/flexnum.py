@@ -29,17 +29,24 @@ has its own format; with (B, k) widths each (row, column) of the two
 leading axes has one, which lets a kernel round values of k slots stacked
 along axis 1 in one call.
 
-The bit-path constants are worked out once per format, not per call: a
+The bit-path constants are worked out once per format, not per call, so
+that a call pays for asarray, the bit ops and the NaN guard alone, which
+matters because kernels round a few hundred values per call.  A
 FlexFormat takes them at construction, as 0-d uint64 arrays (numpy
-scalars cost more per ufunc call), and a FormatBatch works out its
-columns, shaped to broadcast over the axes after its widths' own, once
-for each array rank it meets.  A call then pays for asarray, the bit ops
-and the NaN guard alone, which matters because kernels round a few
-hundred values per call.
+scalars and Python ints cost more per ufunc call).  A FormatBatch writes
+them out to the full shape of the values it rounds: one set for each row
+size (the number of values after its widths' own axes) it meets, handed
+out as views reshaped to each value shape.  Every bit operation then runs
+on contiguous or 0-d operands, at about the speed of one format: columns
+broadcast over each row would cost 2-3 times as much per value, since a
+stride-0 operand misses numpy's contiguous and scalar loops.  A set holds
+three uint64 values per value of a shape it serves and lives as long as
+the batch, which run_kernel makes for one call.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,17 +61,20 @@ _F64 = np.dtype(np.float64)
 _U64 = np.dtype(np.uint64)
 
 # Row m holds the constants of bit-pattern rounding to m mantissa bits: the
-# number d of dropped bits, the mask of the kept last bit (zero when nothing
-# is dropped), half an ulp of the target minus one, and the mask of the kept
-# bits.
+# shift that brings the kept last bit to bit 0, half an ulp of the target
+# minus one, and the mask of the kept bits.  When no bit is dropped there is
+# no last bit to keep, and the shift is 64, which numpy's uint64 >> takes to
+# 0 (the tests pin this).
 _BIT_TABLE = np.array(
-    [(d, int(d > 0), (1 << d >> 1) - (d > 0), -(1 << d) % 2**64) for d in range(MANTISSA_MAX, -1, -1)],
+    [(d or 64, (1 << d >> 1) - (d > 0), -(1 << d) % 2**64) for d in range(MANTISSA_MAX, -1, -1)],
     dtype=np.uint64,
 )
 # the same rows as 0-d arrays, which a FlexFormat takes at construction
 _BIT_ROWS = [tuple(np.array(c) for c in row) for row in _BIT_TABLE]
 # and its columns, which a FormatBatch indexes with its widths
 _BIT_COLUMNS = _BIT_TABLE.T.copy()
+# the mask of the kept last bit after the shift, 0-d like the rows
+_ONE = np.array(1, dtype=_U64)
 
 
 @dataclass(frozen=True)
@@ -131,8 +141,10 @@ class FormatBatch:
     an integer dtype."""
 
     mantissa_bits: np.ndarray
-    # array rank -> _BIT_TABLE's columns, shaped S + (1, ..., 1) to that rank
-    _columns: dict = field(init=False, repr=False, default_factory=dict)
+    # row size -> _BIT_TABLE's columns written out to (3, widths.size, row size)
+    _sets: dict = field(init=False, repr=False, default_factory=dict)
+    # value shape -> views of its row size's set, reshaped to that shape
+    _views: dict = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self) -> None:
         m = np.array(self.mantissa_bits)
@@ -147,24 +159,28 @@ class FormatBatch:
         m.flags.writeable = False
         object.__setattr__(self, "mantissa_bits", m)
 
-    def columns(self, ndim: int) -> tuple:
-        """The bit-path constants of every entry, broadcastable against an
-        array of rank ndim whose leading axes are the widths' own."""
-        cols = self._columns.get(ndim)
-        if cols is None:
+    def constants(self, shape: tuple) -> tuple:
+        """The bit-path constants of every value of an array of the given
+        shape, whose leading axes are the widths' own, as contiguous
+        arrays of that shape."""
+        views = self._views.get(shape)
+        if views is None:
             m = self.mantissa_bits
-            shape = m.shape + (1,) * (ndim - m.ndim)
-            cols = tuple(c[m].reshape(shape) for c in _BIT_COLUMNS)
-            self._columns[ndim] = cols
-        return cols
+            row = math.prod(shape[m.ndim :])
+            flat = self._sets.get(row)
+            if flat is None:
+                flat = self._sets[row] = np.empty((len(_BIT_COLUMNS), m.size, row), dtype=_U64)
+                flat[...] = _BIT_COLUMNS[:, m.ravel(), None]
+            views = self._views[shape] = tuple(c.reshape(shape) for c in flat)
+        return views
 
 
-def _round_bits(arr: np.ndarray, drop, lsb, half, keep) -> np.ndarray:
+def _round_bits(arr: np.ndarray, shift, half, keep) -> np.ndarray:
     """Bit-pattern rounding for 11 exponent bits, given one row of
-    _BIT_TABLE or columns that broadcast against arr."""
+    _BIT_TABLE or constants of arr's shape."""
     bits = arr.view(_U64)
-    t = bits >> drop
-    t &= lsb
+    t = bits >> shift
+    t &= _ONE
     t += half
     t += bits
     t &= keep
@@ -211,7 +227,7 @@ def round_to_format(x, fmt: FlexFormat | FormatBatch):
         lead = fmt.mantissa_bits.shape
         if scalar or arr.shape[: len(lead)] != lead:
             raise ValueError(f"formats of shape {lead} for an array of shape {np.shape(x)}")
-        out = _round_bits(arr, *fmt.columns(arr.ndim))
+        out = _round_bits(arr, *fmt.constants(arr.shape))
     elif fmt._bits is None:
         out = _round_frexp(arr, fmt)
     elif fmt.mantissa_bits == MANTISSA_MAX:

@@ -51,6 +51,12 @@ FormatBatch when the configs disagree on that slot's width.  Every
 operation is elementwise along the config axis, so row i of a batch is
 bit for bit the run of config i alone.
 
+A batch rounds each value at about the cost of one plain format: a
+slot's FormatBatch writes its constants out to the shape of the values it
+rounds, once per row size, and keeps them while run_kernel runs, three
+uint64 values per value of each shape (about 1.4 MB for a 28-config
+convolution batch at 32x32).
+
 A sequential run rounds a few hundred values per call, so the number of
 calls sets its cost, and the runners make fewer of them in two ways.
 

@@ -16,6 +16,7 @@ from prectune.dataset import (
     Sample,
     build_dataset,
     compute_error,
+    compute_errors,
     lhs_configs,
     load_dataset,
     log_error,
@@ -104,6 +105,36 @@ class TestErrorMetric:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             compute_error(np.zeros(3), np.zeros(4))
+        with pytest.raises(ValueError):
+            compute_errors(np.zeros((2, 3)), np.zeros(4))
+
+    @staticmethod
+    def row_error(out, ref) -> float:
+        # the one-output-at-a-time metric the batched one must reproduce
+        if not np.all(np.isfinite(out)):
+            return math.inf
+        with np.errstate(over="ignore", invalid="ignore"):
+            worst = float(np.max((out - ref) ** 2 / np.maximum(ref**2, 1e-60)))
+        return worst if worst == worst else math.inf
+
+    @pytest.mark.parametrize("ref", [
+        np.array([1.0, -2.0, 3.5, 0.0, 1e-200]),
+        np.array([1.0, -1.7e308, 3.5, 0.0, math.inf]),
+    ], ids=["finite", "huge-and-inf"])
+    def test_rows_match_one_at_a_time(self, ref):
+        rng = np.random.default_rng(0)
+        outs = ref * (1.0 + rng.uniform(-1e-3, 1e-3, (8, ref.size)))
+        outs[0] = ref
+        outs[1, 2] = math.nan
+        outs[2, 0] = -math.inf
+        outs[3, 1] = 1.7e308  # overflows the square, finite output
+        outs[4] = 0.0
+        errors = compute_errors(outs, ref)
+        assert errors.shape == (8,)
+        for out, err in zip(outs, errors):
+            assert np.float64(err).tobytes() == np.float64(self.row_error(out, ref)).tobytes()
+            assert compute_error(out, ref) == err
+        assert not np.isnan(errors).any()
 
     def test_log_error_caps(self):
         assert log_error(0.0) == 40.0

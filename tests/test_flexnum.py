@@ -338,8 +338,9 @@ class TestFormatBatch:
             assert got[i].tobytes() == round_to_format(x[i], FlexFormat(int(m), 11)).tobytes()
 
     def test_one_batch_serves_every_rank(self):
-        # a batch keeps broadcast columns per array rank: reusing one across
-        # ranks, in any order, gives the bits of a fresh batch each time
+        # a batch keeps its written-out constants per row size and views of
+        # them per value shape: reusing one across shapes and ranks, in any
+        # order, gives the bits of a fresh batch each time
         rng = np.random.default_rng(3)
         widths = np.array([3, 52, 1, 17])
         batch = FormatBatch(widths)
@@ -398,3 +399,103 @@ class TestFormatBatch:
             round_to_format(np.zeros((3, 2)), FormatBatch(np.array([4, 5])))
         with pytest.raises(ValueError):
             round_to_format(1.0, FormatBatch(np.array([4])))
+
+
+class TestFormatBatchBits:
+    """A FormatBatch writes its constants out to the shape of the values it
+    rounds; every entry must still get the bits of its own FlexFormat."""
+
+    SPECIALS = np.concatenate([
+        [math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308,
+         -1.5e-310, 2.2250738585072014e-308, 1.7976931348623157e308],
+        # NaNs whose payloads sit in the bits a narrow width drops
+        np.array([0x7FF0000000000001, 0xFFF0000000000003, 0x7FF8000000000001,
+                  0x7FF00000000FFFFF], dtype=np.uint64).view(np.float64),
+    ])
+
+    @classmethod
+    def values(cls, shape, seed) -> np.ndarray:
+        rng = np.random.default_rng(seed)
+        x = rng.uniform(-10.0, 10.0, shape) * 10.0 ** rng.integers(-300, 300, shape)
+        # every row gets the specials, at a place of its own
+        flat = x.reshape(shape[0], -1)
+        for i, row in enumerate(flat):
+            k = min(len(cls.SPECIALS), row.size)
+            row[rng.permutation(row.size)[:k]] = np.roll(cls.SPECIALS, i)[:k]
+        return x
+
+    @staticmethod
+    def assert_rows_match(x, widths, got):
+        assert got.shape == x.shape
+        for i in np.ndindex(widths.shape):
+            want = round_to_format(x[i], FlexFormat(int(widths[i])))
+            assert np.asarray(got[i]).tobytes() == np.asarray(want).tobytes(), (i, widths[i])
+
+    @pytest.mark.parametrize("shape", [(28, 22, 22), (32, 1, 272), (32, 512, 1), (32, 1024)])
+    def test_workload_shapes(self, shape):
+        widths = np.random.default_rng(shape[1]).integers(1, 53, shape[0])
+        widths[:4] = [1, 52, 51, 2]
+        x = self.values(shape, 1)
+        self.assert_rows_match(x, widths, round_to_format(x, FormatBatch(widths)))
+
+    def test_stacked_widths(self):
+        widths = np.random.default_rng(2).integers(1, 53, (6, 4))
+        widths[0] = 52
+        widths[1] = [1, 52, 1, 52]
+        for shape in [(6, 4), (6, 4, 11), (6, 4, 3, 7)]:
+            x = self.values(shape, 3)
+            self.assert_rows_match(x, widths, round_to_format(x, FormatBatch(widths)))
+
+    def test_broadcast_inputs(self):
+        # loads broadcast an input along the config axis, and a column may
+        # be broadcast along the others: both have stride-0 axes
+        widths = np.array([1, 52, 9, 30, 52, 17])
+        row = self.values((1, 40), 4)[0]
+        col = self.values((6, 1), 5)
+        for x in (np.broadcast_to(row, (6, 40)), np.broadcast_to(col, (6, 40)),
+                  np.broadcast_to(row.reshape(4, 10), (6, 4, 10))):
+            got = round_to_format(x, FormatBatch(widths))
+            assert got.flags.c_contiguous and got.flags.writeable
+            self.assert_rows_match(x, widths, got)
+
+    def test_width_52_rows_are_the_input(self):
+        x = self.values((3, 64), 6)
+        got = round_to_format(x, FormatBatch(np.array([52, 52, 52])))
+        assert got.tobytes() == x.tobytes()
+
+    def test_nan_payloads_in_dropped_bits_kept(self):
+        nans = self.SPECIALS[-4:]
+        x = np.tile(nans, (4, 1))
+        assert round_to_format(x, FormatBatch(np.array([1, 7, 51, 52]))).tobytes() == x.tobytes()
+
+    @pytest.mark.parametrize("size", [1, 3, 4099])
+    def test_shift_by_64_is_zero(self, size):
+        # the width-52 row shifts by 64 and relies on numpy giving 0, on
+        # scalars and on the vector loops of long arrays alike
+        bits = np.random.default_rng(size).integers(0, 2**64, size, dtype=np.uint64)
+        bits[0] = 2**64 - 1
+        s64 = np.uint64(64)
+        assert not (bits >> s64).any()
+        assert not (bits >> np.array(64, dtype=np.uint64)).any()
+        assert not (bits >> np.full(size, 64, dtype=np.uint64)).any()
+        assert np.uint64(2**64 - 1) >> s64 == 0
+        assert not (bits[::2] >> np.full(bits[::2].shape, 64, dtype=np.uint64)).any()
+
+    def test_constants_shared_per_row_size(self):
+        # fwt's butterfly stages round (B, n / 2h, h) values for h = 1 ...
+        # n / 2: one row size, so one set of constants between them
+        batch = FormatBatch(np.array([3, 52, 1, 17]))
+        stages = [(4, 512 // h, h) for h in (1, 2, 8, 512)]
+        sets = [batch.constants(shape) for shape in stages]
+        for shape, consts in zip(stages, sets):
+            assert len(consts) == 3
+            for c, first in zip(consts, sets[0]):
+                assert c.shape == shape and c.dtype == np.uint64 and c.flags.c_contiguous
+                assert np.shares_memory(c, first)
+        assert all(a is b for a, b in zip(batch.constants(stages[1]), sets[1]))
+        for c, first in zip(batch.constants((4, 1024)), sets[0]):
+            assert not np.shares_memory(c, first)
+        # stacked widths: the row is what follows both of their axes
+        stacked = FormatBatch(np.array([[3, 4], [5, 6]]))
+        a, b = stacked.constants((2, 2, 6))[0], stacked.constants((2, 2, 2, 3))[0]
+        assert np.shares_memory(a, b)

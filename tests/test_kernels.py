@@ -2,6 +2,7 @@
 input generation, validation errors, serialization."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -17,6 +18,7 @@ from prectune.kernels import (
     UnknownBenchmarkError,
 )
 
+from prectune.dataset import build_dataset, lhs_configs
 from prectune.flexnum import FormatBatch, round_to_format
 from prectune.solve import dependency_consistent
 
@@ -503,7 +505,7 @@ class TestRoundingCalls:
     machine: the stacked and hoisted kernels make fewer of them."""
 
     @staticmethod
-    def calls(monkeypatch, name, inp, cfg) -> int:
+    def counter(monkeypatch) -> list:
         count = [0]
 
         def counted(x, fmt):
@@ -511,6 +513,11 @@ class TestRoundingCalls:
             return round_to_format(x, fmt)
 
         monkeypatch.setattr(K, "round_to_format", counted)
+        return count
+
+    @classmethod
+    def calls(cls, monkeypatch, name, inp, cfg) -> int:
+        count = cls.counter(monkeypatch)
         K.run_kernel(name, inp, cfg)
         return count[0]
 
@@ -528,3 +535,39 @@ class TestRoundingCalls:
         inp = K.gen_input_set("correlation", {"points": 64}, seed=0)
         cfgs = np.random.default_rng(0).integers(1, 53, (32, 7))
         assert self.calls(monkeypatch, "correlation", inp, cfgs) <= 328
+
+    @pytest.mark.parametrize("name,shape,calls", [
+        ("convolution", {"rows": 32, "cols": 32}, 9028),
+        ("correlation", {"points": 64}, 8561),
+    ])
+    def test_dataset_build(self, monkeypatch, name, shape, calls):
+        # a 1000-config build as dataset-heavy makes it, reference run
+        # included: convolution in 36 batches of up to 28 configs, 244
+        # calls each
+        count = self.counter(monkeypatch)
+        build_dataset(name, 1000, shape=shape)
+        assert count[0] == calls
+
+
+class TestBatchMemory:
+    def test_constants_are_three_copies_per_value_shape(self):
+        # a FormatBatch writes its three uint64 constants out to the shape
+        # of each value it rounds, and keeps them for the run; one run
+        # where every slot is a FormatBatch may hold no more than that over
+        # one where every slot is a plain format
+        inp = K.gen_input_set("convolution", {"rows": 32, "cols": 32}, seed=0)
+        batch = 28
+        mixed = lhs_configs(batch, 4, 1, 52, 0)
+        uniform = np.tile([20, 21, 22, 23], (batch, 1))
+        peaks = []
+        for cfgs in (mixed, uniform):
+            K.run_kernel("convolution", inp, cfgs)
+            tracemalloc.start()
+            try:
+                K.run_kernel("convolution", inp, cfgs)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # image 32x32, weights 11x11, product and accumulator 22x22
+        values = batch * (32 * 32 + 11 * 11 + 2 * 22 * 22)
+        assert peaks[0] - peaks[1] <= 1.05 * 3 * 8 * values
