@@ -37,7 +37,11 @@ all-MANTISSA_MAX config).  The tune, transfer and oracle commands give one
 ledger to all their calls on an input set, so that no config runs twice on
 it in a whole command; each record's kernel_runs counts the runs its own
 call added.  Searches and tuners answer with plain width tuples; the error
-of each is read off the ledger.
+of each is read off the ledger.  A ledger also holds the kernel stage
+results of its last runs (kernels.run_kernel's memo): a new config that
+agrees with the run that computed a stage on the widths the stage reads
+reuses it.  Its output is still the config's whole output, and it is still a run,
+entered in errors and counted in runs like any other.
 
 plus_refine is the one verified descent: it walks a feasible config
 downward slot by slot with binary search, re-running the kernel through
@@ -139,7 +143,9 @@ class RunLedger:
     """The runs made on one input set: its reference output ref, the run of
     the all-MANTISSA_MAX config, and errors, config -> error of every config
     run on it, seeded with that run.  runs counts the kernel runs made
-    through error, the reference run not among them."""
+    through error, the reference run not among them.  memo holds the last
+    result of each kernel stage (kernels.run_kernel), which a run that
+    agrees on the widths of the slots the stage reads reuses."""
 
     def __init__(self, input_set: InputSet):
         self.input_set = input_set
@@ -148,11 +154,13 @@ class RunLedger:
         n = get_benchmark(self.benchmark).n_var
         self.errors = {(MANTISSA_MAX,) * n: compute_error(self.ref, self.ref)}
         self.runs = 0
+        self.memo = {}
 
     def error(self, config: tuple[int, ...]) -> float:
         """config's error, run and entered the first time it is asked for."""
         if config not in self.errors:
-            self.errors[config] = compute_error(run_kernel(self.benchmark, self.input_set, config), self.ref)
+            out = run_kernel(self.benchmark, self.input_set, config, memo=self.memo)
+            self.errors[config] = compute_error(out, self.ref)
             self.runs += 1
         return self.errors[config]
 

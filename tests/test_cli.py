@@ -64,10 +64,10 @@ def runs_by_input(monkeypatch):
     made = []
 
     def counted(fn):
-        def call(benchmark, input_set, config):
+        def call(benchmark, input_set, config, **kwargs):
             if np.ndim(config) == 1:
                 made.append((input_set.seed, tuple(int(w) for w in config)))
-            return fn(benchmark, input_set, config)
+            return fn(benchmark, input_set, config, **kwargs)
 
         return call
 
@@ -511,10 +511,10 @@ class TestRunLedger:
         made = []
 
         def counted(fn):
-            def call(benchmark, input_set, config):
+            def call(benchmark, input_set, config, **kwargs):
                 if np.ndim(config) == 1:
                     made.append(tuple(int(w) for w in config))
-                return fn(benchmark, input_set, config)
+                return fn(benchmark, input_set, config, **kwargs)
 
             return call
 

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from prectune import kernels as K
+from prectune import solve
 from prectune.kernels import (
     ASSIGNMENT,
     CAST,
@@ -20,7 +21,7 @@ from prectune.kernels import (
 
 from prectune.dataset import build_dataset, lhs_configs
 from prectune.flexnum import FormatBatch, round_to_format
-from prectune.solve import dependency_consistent
+from prectune.solve import RunLedger, dependency_consistent, fptuning_baseline
 
 from oracles import KERNEL_REFS, ROUNDED_KERNELS
 
@@ -571,3 +572,103 @@ class TestBatchMemory:
         # image 32x32, weights 11x11, product and accumulator 22x22
         values = batch * (32 * 32 + 11 * 11 + 2 * 22 * 22)
         assert peaks[0] - peaks[1] <= 1.05 * 3 * 8 * values
+
+
+# the stages each kernel keeps in a memo, by key
+STAGES = {"correlation": {"means", "totals"}, "jacobi": {"diffusion"}}
+
+
+class TestStages:
+    """A run through a memo reuses the stages whose slots it agrees on with
+    the run that stored them, and must still give a fresh run's bits."""
+
+    @staticmethod
+    def chain(name) -> list[list[int]]:
+        """Single configs that each change one slot of the one before:
+        each slot alone down from the all-52 config and back up, then
+        every slot to a random width from a random, dependency-inconsistent
+        config, and back to an earlier config."""
+        n = K.get_benchmark(name).n_var
+        rng = np.random.default_rng(n)
+        cfg = [52] * n
+        chain = []
+        for slot in range(n):
+            for w in (int(rng.integers(1, 52)), 52):
+                cfg[slot] = w
+                chain.append(list(cfg))
+        cfg = [int(w) for w in rng.integers(1, 53, n)]
+        chain.append(list(cfg))
+        for slot in rng.permutation(n):
+            cfg[slot] = int(rng.choice([w for w in range(1, 53) if w != cfg[slot]]))
+            chain.append(list(cfg))
+        return chain + chain[:3]
+
+    @pytest.mark.parametrize("name", ALL_BENCHMARKS)
+    @pytest.mark.parametrize("spike", [False, True])
+    def test_memo_runs_match_fresh_runs(self, name, spike):
+        inp = K.gen_input_set(name, SMALL_SHAPES[name], 3)
+        if spike:
+            inp = _spiked(inp)
+        chain = self.chain(name)
+        n = K.get_benchmark(name).n_var
+        assert all(sum(a != b for a, b in zip(x, y)) == 1 for x, y in zip(chain[: 2 * n], chain[1 : 2 * n]))
+        assert not all(dependency_consistent(c, K.dependency_graph(name)) for c in chain)
+        memo = {}
+        with np.errstate(all="ignore"):
+            for cfg in chain:
+                fresh = K.run_kernel(name, inp, cfg)
+                assert K.run_kernel(name, inp, cfg, memo=memo).tobytes() == fresh.tobytes()
+        assert set(memo) == STAGES.get(name, set())
+
+    @pytest.mark.parametrize("name", sorted(STAGES))
+    def test_memo_saves_rounding_calls(self, monkeypatch, name):
+        inp = K.gen_input_set(name, SMALL_SHAPES[name], 3)
+        count = TestRoundingCalls.counter(monkeypatch)
+        calls = []
+        for memo in (None, {}):
+            count[0] = 0
+            for cfg in self.chain(name):
+                K.run_kernel(name, inp, cfg, memo=memo)
+            calls.append(count[0])
+        assert calls[1] < calls[0]
+
+    def test_stage_results_are_read_only(self):
+        inp = K.gen_input_set("correlation", SMALL_SHAPES["correlation"], 3)
+        cfg = [30, 20, 20, 25, 25, 25, 25]
+        memo = {}
+        want = K.run_kernel("correlation", inp, cfg, memo=memo)
+        # memo entries are (input set, widths read, result)
+        data, mean = memo["means"][2]
+        kept = [data, mean, memo["totals"][2]]
+        for arr in kept:
+            with pytest.raises(ValueError, match="read-only"):
+                arr[...] = 0.0
+        assert K.run_kernel("correlation", inp, cfg, memo=memo).tobytes() == want.tobytes()
+
+    def test_memo_of_another_input_set_is_not_reused(self):
+        cfg = [30, 20, 20, 25, 25, 25, 25]
+        memo = {}
+        for seed in (1, 2):
+            inp = K.gen_input_set("correlation", SMALL_SHAPES["correlation"], seed)
+            fresh = K.run_kernel("correlation", inp, cfg)
+            assert K.run_kernel("correlation", inp, cfg, memo=memo).tobytes() == fresh.tobytes()
+
+    @pytest.mark.parametrize("name,shape,calls", [
+        ("correlation", {"points": 64}, (13485, 9081)),
+        ("jacobi", {"side": 8}, (68385, 57121)),
+    ])
+    def test_baseline_descent(self, monkeypatch, name, shape, calls):
+        # the ledger a baseline descent leaves is the same with and without
+        # the memo, and the memo saves rounding calls; the counts are pinned
+        inp = K.gen_input_set(name, shape, seed=0)
+        count = TestRoundingCalls.counter(monkeypatch)
+        ledgers, counts = [], []
+        for runner in (lambda b, i, c, memo: K.run_kernel(b, i, c), K.run_kernel):
+            monkeypatch.setattr(solve, "run_kernel", runner)
+            ledger = RunLedger(inp)
+            count[0] = 0
+            configs = [fptuning_baseline(ledger, t).config for t in (1e-3, 1e-7, 1e-12)]
+            ledgers.append((configs, ledger.runs, ledger.errors))
+            counts.append(count[0])
+        assert ledgers[0] == ledgers[1]
+        assert tuple(counts) == calls

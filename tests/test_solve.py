@@ -593,9 +593,9 @@ class TestRunLedger:
     def made(self, monkeypatch):
         made = []
 
-        def counted(benchmark, input_set, config):
+        def counted(benchmark, input_set, config, **kwargs):
             made.append(config)
-            return run_kernel(benchmark, input_set, config)
+            return run_kernel(benchmark, input_set, config, **kwargs)
 
         monkeypatch.setattr(solve, "run_kernel", counted)
         return made
@@ -637,9 +637,9 @@ class TestHonestRunCounts:
     def made(self, monkeypatch):
         made = []
 
-        def counted(benchmark, input_set, config):
+        def counted(benchmark, input_set, config, **kwargs):
             made.append(tuple(int(w) for w in config))
-            return run_kernel(benchmark, input_set, config)
+            return run_kernel(benchmark, input_set, config, **kwargs)
 
         monkeypatch.setattr(solve, "run_kernel", counted)
         return made
