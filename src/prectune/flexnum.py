@@ -241,26 +241,3 @@ def round_to_format(x, fmt: FlexFormat | FormatBatch):
         out = _round_bits(arr, *fmt._bits)
     return float(out[0]) if scalar else out
 
-
-_OPS = {
-    "add": np.add,
-    "sub": np.subtract,
-    "mul": np.multiply,
-    "div": np.true_divide,
-}
-
-
-def flex_op(kind: str, a, b, result_fmt: FlexFormat):
-    """Apply a binary op in binary64 and round the result to result_fmt.
-
-    kind is one of "add", "sub", "mul", "div".  Division by zero and
-    invalid operations follow IEEE semantics (inf / nan results), no
-    exceptions are raised.
-    """
-    try:
-        op = _OPS[kind]
-    except KeyError:
-        raise ValueError(f"unknown op kind {kind!r}, expected one of {sorted(_OPS)}")
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        raw = op(np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64))
-    return round_to_format(raw, result_fmt)

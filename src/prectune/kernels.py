@@ -16,6 +16,13 @@ Two kinds of dependency edges relate slots:
     living in the source slots.  Bits beyond the narrowest operand carry
     no information, so the induced constraint is  x_dst = min(x_si).
 
+A kernel declares its casts in dependency order: no slot is the result of
+two casts, and no cast reads a slot that a later cast writes.
+BenchmarkDescriptor refuses any other order.  So one pass over the casts,
+in declaration order, gives every cast result its final width
+(solve.settle_casts).  Assignments may point back into a cast chain, as
+jacobi's and fwt's do; they constrain a config but never move a width.
+
 Slot maps (slot count is fixed per kernel):
 
 fwt (2): 0 data, 1 butterfly stage.  Both butterfly outputs (sum and
@@ -161,16 +168,30 @@ def _cast(sources: tuple[int, ...], dst: int) -> DependencyEdge:
 @dataclass(frozen=True)
 class BenchmarkDescriptor:
     name: str
-    n_var: int
     slot_names: tuple[str, ...]
+    # casts in dependency order (module docstring)
     edges: tuple[DependencyEdge, ...]
     default_shape: dict[str, int] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        assert len(self.slot_names) == self.n_var
         for e in self.edges:
             for s in (*e.sources, e.destination):
                 assert 0 <= s < self.n_var, f"{self.name}: slot {s} out of range"
+        casts = [e for e in self.edges if e.kind == CAST]
+        dests = [e.destination for e in casts]
+        if len(set(dests)) < len(dests):
+            raise ValueError(f"{self.name}: a slot is the result of two casts")
+        for i, e in enumerate(casts):
+            later = set(e.sources) & set(dests[i + 1:])
+            if later:
+                raise ValueError(
+                    f"{self.name}: the cast into slot {e.destination} reads slot "
+                    f"{min(later)}, which a later cast writes"
+                )
+
+    @property
+    def n_var(self) -> int:
+        return len(self.slot_names)
 
 
 @dataclass(frozen=True)
@@ -321,7 +342,6 @@ def _run_fwt(inp, rnd, load, stage):
 _register(
     BenchmarkDescriptor(
         name="fwt",
-        n_var=2,
         slot_names=("data", "stage"),
         edges=(_cast((0, 0), 1), _assign(1, 0)),
         default_shape={"n": 1024},
@@ -357,7 +377,6 @@ def _run_saxpy(inp, rnd, load, stage):
 _register(
     BenchmarkDescriptor(
         name="saxpy",
-        n_var=3,
         slot_names=("x", "y", "stage"),
         edges=(_cast((0, 1), 2), _assign(2, 1)),
         default_shape={"n": 1024},
@@ -401,7 +420,6 @@ def _run_convolution(inp, rnd, load, stage):
 _register(
     BenchmarkDescriptor(
         name="convolution",
-        n_var=4,
         slot_names=("image", "weights", "product", "acc"),
         edges=(_cast((0, 1), 2), _assign(2, 3)),
         default_shape={"rows": 64, "cols": 64},
@@ -445,7 +463,6 @@ def _run_dwt(inp, rnd, load, stage):
 _register(
     BenchmarkDescriptor(
         name="dwt",
-        n_var=7,
         slot_names=("x", "a1", "d1", "a2", "d2", "a3", "d3"),
         edges=(
             _assign(0, 1),
@@ -520,7 +537,6 @@ def _run_correlation(inp, rnd, load, stage):
 _register(
     BenchmarkDescriptor(
         name="correlation",
-        n_var=7,
         slot_names=("data", "mean", "dev", "cov", "var", "std", "corr"),
         edges=(
             _assign(0, 1),
@@ -592,7 +608,6 @@ def _run_bscholes(inp, rnd, load, stage):
 _register(
     BenchmarkDescriptor(
         name="bscholes",
-        n_var=15,
         slot_names=(
             "spot",
             "strike",
@@ -679,7 +694,6 @@ def _run_jacobi(inp, rnd, load, stage):
 _register(
     BenchmarkDescriptor(
         name="jacobi",
-        n_var=25,
         slot_names=(
             "grid_a",
             "grid_b",

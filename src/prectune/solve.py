@@ -17,8 +17,16 @@ The search stops once the cheapest open box cannot beat the incumbent.
 Every prune is sound and an accepted corner closes its box, so the visit
 order cannot change the answer: acceptance at a point is exact model
 inference, and the search returns exactly what brute enumeration of
-consistent configs against the models would.  Cast results are recomputed
-in one place, settle_casts.
+consistent configs against the models would.
+
+A config's cast slots are settled in one place, settle_casts: one pass
+over the casts in the order the kernel declares them, which
+kernels.BenchmarkDescriptor guarantees is dependency order, then a check
+of the assignments.  The descents settle every probe with it,
+brute_force_optimum every placement of the free slots, and
+dependency_consistent asks whether settling leaves a config unchanged.
+propagate_box is the one fixpoint over the edges: over a box, an
+assignment into a cast chain (jacobi's, fwt's) feeds back into it.
 
 smart_tune wraps the solver in a verify-retrain loop: each proposed config
 is actually run; a miss becomes a new training sample and an excluded
@@ -168,16 +176,6 @@ class RunLedger:
 # --- dependency handling ------------------------------------------------------
 
 
-def dependency_consistent(config, edges) -> bool:
-    for e in edges:
-        if e.kind == CAST:
-            if config[e.destination] != min(config[s] for s in e.sources):
-                return False
-        elif config[e.sources[0]] > config[e.destination]:
-            return False
-    return True
-
-
 def cast_destinations(edges) -> set[int]:
     """Dims whose width is a cast result."""
     return {e.destination for e in edges if e.kind == CAST}
@@ -227,40 +225,32 @@ def propagate_box(box: DomainBox, edges) -> DomainBox | None:
     return DomainBox(tuple(lo), tuple(hi))
 
 
-def settle_casts(cfg: list[int], edges) -> bool:
-    """Recompute cast results in place until stable; True if any changed.
-    Cast chains are at most len(cfg) long, so len(cfg) + 1 passes settle
-    them; a caller's consistency check catches anything left unsettled."""
-    moved = False
-    for _ in range(len(cfg) + 1):
-        changed = False
-        for e in edges:
-            if e.kind == CAST:
-                m = min(cfg[s] for s in e.sources)
-                if cfg[e.destination] != m:
-                    cfg[e.destination] = m
-                    changed = True
-        if not changed:
-            break
-        moved = True
-    return moved
-
-
-def _repair_down(config: list[int], edges) -> tuple[int, ...] | None:
-    """Recompute cast results after a slot was lowered; reject the repair
-    if any assignment or cast constraint cannot be restored this way."""
+def settle_casts(config, edges) -> tuple[int, ...] | None:
+    """config with each cast result set to the min of its sources, or None
+    when an assignment x_src <= x_dst then fails.  Kernels declare their
+    casts in dependency order (kernels.BenchmarkDescriptor), so one pass in
+    declaration order settles every cast."""
     cfg = list(config)
-    settle_casts(cfg, edges)
-    out = tuple(cfg)
-    return out if dependency_consistent(out, edges) else None
+    for e in edges:
+        if e.kind == CAST:
+            cfg[e.destination] = min(cfg[s] for s in e.sources)
+    for e in edges:
+        if e.kind != CAST and cfg[e.sources[0]] > cfg[e.destination]:
+            return None
+    return tuple(cfg)
+
+
+def dependency_consistent(config, edges) -> bool:
+    """config satisfies every edge: settling its casts changes nothing."""
+    return settle_casts(config, edges) == tuple(config)
 
 
 def _assignment_floor(cfg, slot: int, edges, cast_dests: set[int], nbit_min: int) -> int:
     """Lowest width worth probing for slot.  An assignment source pins the
     slot from below, except when that source is itself a cast result (one
-    of cast_dests): the repair recomputes those, so lowering the slot can
-    pull the source down with it and the consistency check after repair
-    has the final word."""
+    of cast_dests): settle_casts recomputes those, so lowering the slot can
+    pull the source down with it, and settle_casts's assignment check has
+    the final word."""
     floor = nbit_min
     for e in edges:
         if e.kind != CAST and e.destination == slot and e.sources[0] not in cast_dests:
@@ -271,10 +261,10 @@ def _assignment_floor(cfg, slot: int, edges, cast_dests: set[int], nbit_min: int
 def _descend(start, edges, nbit_min: int, is_feasible) -> tuple[tuple[int, ...], int]:
     """Slot-wise binary-search descent from a feasible config.
 
-    Lowers one directly chosen slot at a time (cast results just follow),
-    keeping only repairs that is_feasible approves.  Repeats passes until
-    a whole pass changes nothing.  Returns (config, passes).  The total
-    width never increases."""
+    Lowers one directly chosen slot at a time (settle_casts recomputes the
+    cast results), keeping only settled configs that is_feasible approves.
+    Repeats passes until a whole pass changes nothing.  Returns (config,
+    passes).  The total width never increases."""
     cur = tuple(int(v) for v in start)
     free = free_dims(edges, len(cur))
     cast_dests = cast_destinations(edges)
@@ -293,9 +283,9 @@ def _descend(start, edges, nbit_min: int, is_feasible) -> tuple[tuple[int, ...],
                 mid = (lo + hi) // 2
                 probe = list(cur)
                 probe[slot] = mid
-                repaired = _repair_down(probe, edges)
-                if repaired is not None and min(repaired) >= nbit_min and is_feasible(repaired):
-                    best = repaired
+                settled = settle_casts(probe, edges)
+                if settled is not None and min(settled) >= nbit_min and is_feasible(settled):
+                    best = settled
                     hi = mid
                 else:
                     lo = mid + 1
@@ -603,20 +593,15 @@ def brute_force_optimum(
         raise ValueError(
             f"{benchmark}: {count} free-width combinations exceed the cap of {BRUTE_FORCE_CAP}"
         )
-    box = DomainBox((nbit_min,) * n, (nbit_max,) * n)
-
     best: tuple[int, ...] | None = None
-
-    def fill(values):
-        cfg = [nbit_min] * n
-        for d, v in zip(free, values):
-            cfg[d] = v
-        settle_casts(cfg, edges)
-        return tuple(cfg)
-
+    # every slot is free or a cast result, and a cast result is the min of
+    # in-range widths, so every settled config lies in the width box
     for values in itertools.product(range(nbit_min, nbit_max + 1), repeat=len(free)):
-        cfg = fill(values)
-        if not dependency_consistent(cfg, edges) or not box.contains(cfg):
+        placed = [nbit_min] * n
+        for d, v in zip(free, values):
+            placed[d] = v
+        cfg = settle_casts(placed, edges)
+        if cfg is None:
             continue
         if best is not None and (sum(cfg), cfg) >= (sum(best), best):
             continue

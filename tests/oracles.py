@@ -2,7 +2,9 @@
 
 Everything here is written against the plain mathematical definitions
 (exact rational arithmetic, exhaustive grids, unrounded numpy reference
-kernels) and deliberately shares no logic with the package code.
+kernels) and deliberately shares no logic with the package code.  The one
+exception is flex_op, a single binary64 op rounded by
+flexnum.round_to_format, in which the rounding tests state their cases.
 """
 
 from __future__ import annotations
@@ -11,6 +13,8 @@ import math
 from fractions import Fraction
 
 import numpy as np
+
+from prectune.flexnum import round_to_format
 
 
 def format_params(mantissa_bits: int, exponent_bits: int):
@@ -436,3 +440,70 @@ def pre_activations(model, points):
         out.append(z)
         a = np.maximum(z, 0.0)
     return out
+
+
+# --- cast settling ------------------------------------------------------------------
+# The cast handling as first written: cast results recomputed in passes until
+# none moves, then every edge checked again.  Edge kinds are compared with the
+# strings kernels.CAST and kernels.ASSIGNMENT name.  The package settles in
+# one pass, which kernels' declaration order makes enough; on every config
+# both must agree.
+
+
+def consistent_walk(config, edges) -> bool:
+    """Every cast result equals the min of its sources, and no assignment
+    source is wider than its destination."""
+    for e in edges:
+        if e.kind == "cast":
+            if config[e.destination] != min(config[s] for s in e.sources):
+                return False
+        elif config[e.sources[0]] > config[e.destination]:
+            return False
+    return True
+
+
+def settle_casts_fixpoint(config, edges):
+    """config with its cast results recomputed until stable (at most
+    len(config) + 1 passes), or None when the result breaks an edge."""
+    cfg = list(config)
+    for _ in range(len(cfg) + 1):
+        changed = False
+        for e in edges:
+            if e.kind == "cast":
+                m = min(cfg[s] for s in e.sources)
+                if cfg[e.destination] != m:
+                    cfg[e.destination] = m
+                    changed = True
+        if not changed:
+            break
+    out = tuple(cfg)
+    return out if consistent_walk(out, edges) else None
+
+
+# --- one rounded binary op -------------------------------------------------------
+# The kernels round each binary64 result inline; this is the single-op form
+# the rounding tests state their cases in.
+
+_OPS = {
+    "add": np.add,
+    "sub": np.subtract,
+    "mul": np.multiply,
+    "div": np.true_divide,
+}
+
+
+def flex_op(kind: str, a, b, result_fmt):
+    """Apply a binary op in binary64 and round the result to result_fmt
+    (a flexnum.FlexFormat) with flexnum.round_to_format.
+
+    kind is one of "add", "sub", "mul", "div".  Division by zero and
+    invalid operations follow IEEE semantics (inf / nan results), no
+    exceptions are raised.
+    """
+    try:
+        op = _OPS[kind]
+    except KeyError:
+        raise ValueError(f"unknown op kind {kind!r}, expected one of {sorted(_OPS)}")
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        raw = op(np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64))
+    return round_to_format(raw, result_fmt)

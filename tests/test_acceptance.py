@@ -20,11 +20,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oracles import grid_positive
+from oracles import flex_op, grid_positive
 from prectune.cli import main as cli_main, target_slug
 from prectune.dataset import build_dataset, compute_error, reference_output
 from prectune.embed import DomainBox, dt_label_boxes, nn_bound_info
-from prectune.flexnum import FlexFormat, flex_op, round_to_format
+from prectune.flexnum import FlexFormat, round_to_format
 from prectune.kernels import dependency_graph, gen_input_set, run_kernel
 from prectune.learn import (
     TrainConfig,

@@ -10,13 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import round_by_grid_search, round_nearest_even
+from oracles import flex_op, round_by_grid_search, round_nearest_even
 from prectune.flexnum import (
     BINARY64,
     FlexFormat,
     FormatBatch,
     _round_frexp,
-    flex_op,
     round_to_format,
 )
 

@@ -84,6 +84,16 @@ class TestDescriptors:
         dests = [e.destination for e in desc.edges if e.kind == CAST]
         assert len(dests) == len(set(dests))
 
+    def test_descriptor_refuses_casts_out_of_order(self):
+        # one pass of solve.settle_casts is enough only when no cast reads a
+        # slot a later cast writes, and no slot is written by two casts
+        names = ("a", "b", "c", "d", "e")
+        K.BenchmarkDescriptor("ordered", names, (K._cast((0, 1), 2), K._cast((2, 3), 4)))
+        with pytest.raises(ValueError, match="later cast"):
+            K.BenchmarkDescriptor("reversed", names, (K._cast((2, 3), 4), K._cast((0, 1), 2)))
+        with pytest.raises(ValueError, match="two casts"):
+            K.BenchmarkDescriptor("twice", names, (K._cast((0, 1), 2), K._cast((0, 3), 2)))
+
     def test_cast_destination_sets(self):
         def cast_destinations(name):
             return {e.destination for e in K.get_benchmark(name).edges if e.kind == CAST}

@@ -11,11 +11,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from oracles import interval_ranges
+from oracles import consistent_walk, interval_ranges, settle_casts_fixpoint
 from prectune import solve
 from prectune.dataset import Dataset, Sample, build_dataset, compute_error, log_error, reference_output
 from prectune.embed import DomainBox, dt_label_boxes, nn_bound_info
-from prectune.kernels import CAST, DependencyEdge, dependency_graph, gen_input_set, get_benchmark, run_kernel
+from prectune.kernels import dependency_graph, gen_input_set, get_benchmark, run_kernel
 from prectune.learn import (
     DTModel,
     MLPModel,
@@ -167,15 +167,25 @@ class TestDependencyHelpers:
             checked += 1
         assert checked > 0
 
-    def test_settle_casts_reaches_fixpoint(self):
-        # the cast feeding slot 2 comes after the one reading it, so one
-        # pass over the edges is not enough
-        edges = (DependencyEdge(CAST, (2, 3), 4), DependencyEdge(CAST, (0, 1), 2))
-        cfg = [5, 7, 9, 9, 9]
-        assert settle_casts(cfg, edges) is True
-        assert cfg == [5, 7, 5, 9, 5] and dependency_consistent(cfg, edges)
-        assert settle_casts(cfg, edges) is False
-        assert cfg == [5, 7, 5, 9, 5]
+    @pytest.mark.parametrize("bench", ["saxpy", "fwt", "dwt", "correlation", "convolution", "bscholes", "jacobi"])
+    def test_settle_casts_matches_fixpoint_reference(self, bench):
+        # one pass in declaration order against passes until stable, on
+        # random configs and on their settled forms, which are consistent
+        rng = np.random.default_rng(5)
+        edges = dependency_graph(bench)
+        n = get_benchmark(bench).n_var
+        configs = []
+        for _ in range(400):
+            lo, hi = sorted(rng.integers(1, 53, 2).tolist())
+            configs.append(tuple(rng.integers(lo, hi + 1, n).tolist()))
+        settled = [c for c in (settle_casts_fixpoint(c, edges) for c in configs) if c is not None]
+        assert settled
+        for cfg in configs + settled:
+            probe = list(cfg)
+            assert settle_casts(probe, edges) == settle_casts_fixpoint(cfg, edges)
+            assert probe == list(cfg)
+            assert dependency_consistent(cfg, edges) == consistent_walk(cfg, edges)
+        assert all(dependency_consistent(c, edges) for c in settled)
 
 
 class TestNNUpperBound:
