@@ -18,7 +18,7 @@ def section_block(heading: str, lang: str = "") -> str:
     return block
 
 
-def test_quick_start_runs(tmp_path, capsys):
+def test_quick_start_runs(tmp_path):
     lines = section_block("Quick start").replace("\\\n", " ").splitlines()
     (command,) = [line for line in lines if line.startswith("prectune tune ")]
     argv = shlex.split(command)[1:]
