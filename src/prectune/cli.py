@@ -9,7 +9,8 @@ keys, the --flags and their parse types are derived from the fields.
 Settings come from an optional flat key=value file plus flag overrides;
 flags win.  All randomness flows from three named seeds (input, sample,
 train) and every output file records them.  Each run's input sets and
-datasets are built by run_input_set and run_dataset.  Output files are
+datasets are built by run_input_set and run_dataset, and every kernel run
+on an input set goes through its solve.RunLedger.  Output files are
 written atomically, and repeated runs with identical configuration
 produce byte-identical CSVs.
 
@@ -241,32 +242,28 @@ def run_input_set(cfg: RunConfig, bench: str, offset: int = 0) -> InputSet:
     return gen_input_set(bench, cfg.shape or None, cfg.seed_input + offset)
 
 
-def run_dataset(cfg: RunConfig, input_set: InputSet, ref=None) -> Dataset:
+def run_dataset(cfg: RunConfig, ledger: RunLedger) -> Dataset:
     """A fresh dataset of cfg.dataset_size samples over the run's width box,
-    drawn with its sample seed and measured on input_set, against ref when
-    its reference output is at hand."""
+    drawn with its sample seed and measured through ledger."""
     return build_dataset(
-        input_set.benchmark,
+        ledger,
         n_samples=cfg.dataset_size,
         nbit_lo=cfg.nbit_min,
         nbit_hi=cfg.nbit_max,
         seed_sample=cfg.seed_sample,
-        input_set=input_set,
-        ref=ref,
     )
 
 
-def load_run_dataset(path: str, bench: str, input_set: InputSet | None = None) -> Dataset:
-    """The dataset saved at path, refused unless it is for bench and, when
-    an input set is given, its errors were measured on that input set."""
+def load_run_dataset(path: str, bench: str, run: dict | None = None) -> Dataset:
+    """The dataset saved at path, refused unless it is for bench and agrees
+    with run, when given, on each Dataset field it names."""
     ds = load_dataset(path)
     if ds.benchmark != bench:
         raise UsageError(f"dataset {path} is for {ds.benchmark!r}, not {bench!r}")
-    if input_set is not None:
-        for key, want in (("shape", input_set.shape), ("seed_input", input_set.seed)):
-            got = getattr(ds, key)
-            if got != want:
-                raise UsageError(f"dataset {path} has {key} {got}, the run has {want}")
+    for key, want in (run or {}).items():
+        got = getattr(ds, key)
+        if got != want:
+            raise UsageError(f"dataset {path} has {key} {got}, the run has {want}")
     return ds
 
 
@@ -320,7 +317,7 @@ def cmd_dataset(args) -> int:
     cfg = make_run_config(args)
     bench = single_benchmark(cfg)
     outdir = ensure_outdir(cfg)
-    ds = run_dataset(cfg, run_input_set(cfg, bench))
+    ds = run_dataset(cfg, RunLedger(run_input_set(cfg, bench)))
     path = os.path.join(outdir, f"{bench}_dataset.csv")
     save_dataset(ds, path)
     class1 = sum(s.class_label for s in ds.samples)
@@ -336,7 +333,7 @@ def cmd_train(args) -> int:
         ds = load_run_dataset(args.dataset, bench)
         cfg = with_dataset_seeds(cfg, ds)
     else:
-        ds = run_dataset(cfg, run_input_set(cfg, bench))
+        ds = run_dataset(cfg, RunLedger(run_input_set(cfg, bench)))
     tc = cfg.train_config()
 
     # quality is measured on a held-out split, the saved models use all data
@@ -400,11 +397,15 @@ def cmd_tune(args) -> int:
     dataset_runs = 0
     if cfg.mode != "baseline":
         if args.dataset:
-            dataset = load_run_dataset(args.dataset, bench, input_set)
+            # its errors were measured on this input set over this width box,
+            # but not by this process: none is entered in the ledger
+            run = {"shape": input_set.shape, "seed_input": input_set.seed,
+                   "nbit_lo": cfg.nbit_min, "nbit_hi": cfg.nbit_max}
+            dataset = load_run_dataset(args.dataset, bench, run)
             cfg = with_dataset_seeds(cfg, dataset)
         else:
-            dataset = run_dataset(cfg, input_set, ledger.ref)
-            dataset_runs = len(dataset.samples)
+            dataset = run_dataset(cfg, ledger)
+            dataset_runs = ledger.runs
         # every target starts from the same fit on the same dataset
         models = fit_models(dataset, cfg.train_config())
 
@@ -481,7 +482,7 @@ def cmd_sweep(args) -> int:
     for bench in benches:
         # one master draw; prefixes are nested, the tail is the fixed
         # held-out set shared by every size
-        master = run_dataset(replace(cfg, dataset_size=sizes[-1] + hold_n), run_input_set(cfg, bench))
+        master = run_dataset(replace(cfg, dataset_size=sizes[-1] + hold_n), RunLedger(run_input_set(cfg, bench)))
         holdout = replace(master, samples=master.samples[sizes[-1]:])
         for size in sizes:
             sub = replace(master, samples=master.samples[:size])
@@ -512,7 +513,7 @@ def cmd_transfer(args) -> int:
         # one run ledger per input set: both methods tune on the first, and
         # a config is checked on each other one once, whichever found it
         first, *others = [RunLedger(run_input_set(cfg, bench, i)) for i in range(n_inputs)]
-        dataset = run_dataset(cfg, first.input_set, first.ref)
+        dataset = run_dataset(cfg, first)
         models = fit_models(dataset, cfg.train_config())
 
         def violation_pct(result, target) -> float:

@@ -14,10 +14,10 @@ regression target is the negated decimal log of the error, clamped to
 
 Configs are drawn by integer Latin hypercube sampling over the full width
 box.  Dependency edges between slots are deliberately not enforced here:
-the models see the whole box and the solver applies the constraints.  The
-kernel runs them in batches of as many configs as keep the batch's copies
-of the input set within BATCH_ELEMENTS values; a batched run gives each
-config the bits it gets alone.
+the models see the whole box and the solver applies the constraints.
+build_dataset measures the configs through a solve.RunLedger of the input
+set, the one place the program runs configs: it runs each distinct config
+the ledger lacks once, in batches, and reads the rest.
 """
 
 from __future__ import annotations
@@ -29,19 +29,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .flexnum import MANTISSA_MAX, MANTISSA_MIN
-from .kernels import InputSet, gen_input_set, get_benchmark, run_kernel
+from .kernels import InputSet, get_benchmark, run_kernel
 
 ERROR_FLOOR = 1e-40
 LOG_ERR_CAP = 40.0
 CLASS_THRESHOLD = 0.9
 _REF_EPS = 1e-60
-# 32 configs of a 1024-value input per kernel run: the per-call cost of the
-# emulation is spread thin for about 2 MB more peak memory, most of it the
-# rounding constants the batch writes out per value shape (1.1-2.0 MB
-# traced for one batch of fwt, saxpy, convolution 32x32 or correlation
-# 16x64); at 2x and 4x the size, builds of those two were no faster and
-# their traced peak grew by 2-6 MB
-BATCH_ELEMENTS = 1 << 15
 
 
 class DatasetFormatError(ValueError):
@@ -143,40 +136,26 @@ def error_sample(config, error: float) -> Sample:
 
 
 def build_dataset(
-    benchmark: str,
+    ledger,
     n_samples: int = 1000,
     nbit_lo: int = MANTISSA_MIN,
     nbit_hi: int = MANTISSA_MAX,
-    shape: dict[str, int] | None = None,
-    seed_input: int = 0,
     seed_sample: int = 0,
-    input_set: InputSet | None = None,
-    ref: np.ndarray | None = None,
 ) -> Dataset:
     """n_samples configs drawn over [nbit_lo, nbit_hi] and their errors on
-    input_set (made from shape and seed_input when not given), measured
-    against ref, its reference output, computed here when not given."""
-    desc = get_benchmark(benchmark)
-    if input_set is None:
-        input_set = gen_input_set(benchmark, shape, seed_input)
-    if ref is None:
-        ref = reference_output(benchmark, input_set)
-    configs = lhs_configs(n_samples, desc.n_var, nbit_lo, nbit_hi, seed_sample)
-    values = sum(np.size(a) for a in input_set.arrays.values())
-    step = max(1, BATCH_ELEMENTS // values)
-    samples = []
-    for i in range(0, n_samples, step):
-        batch = configs[i : i + step]
-        errors = compute_errors(run_kernel(benchmark, input_set, batch), ref).tolist()
-        samples.extend(error_sample(cfg, err) for cfg, err in zip(batch, errors))
+    the input set of ledger, a solve.RunLedger, read off it: a config the
+    ledger holds is not run again."""
+    input_set = ledger.input_set
+    configs = lhs_configs(n_samples, get_benchmark(ledger.benchmark).n_var, nbit_lo, nbit_hi, seed_sample)
+    errors = ledger.measure(configs)
     return Dataset(
-        benchmark=benchmark,
+        benchmark=ledger.benchmark,
         nbit_lo=nbit_lo,
         nbit_hi=nbit_hi,
         seed_input=input_set.seed,
         seed_sample=seed_sample,
         shape=dict(input_set.shape),
-        samples=samples,
+        samples=[error_sample(cfg, err) for cfg, err in zip(configs, errors)],
     )
 
 

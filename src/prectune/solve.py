@@ -34,22 +34,26 @@ config before the next round.  Then the classifier is refit from scratch,
 and the regressor retrained from its previous weights for a tenth of the
 epochs (learn.train_regressor's start model).  One local function builds
 each of its records from the run ledger and the misses: samples_added
-counts the misses, kernel_runs the dataset runs plus the verify runs.
+counts the misses, kernel_runs the runs the call added to the ledger.
 
 A run ledger (RunLedger) holds one input set, its reference output and
-the error of every config run on it.  Every kernel run of a tuner, a
-descent or the brute-force enumeration goes through RunLedger.error: a
-config already in it is read, not run again, and a new run is entered and
-counted in its runs.  A ledger is seeded with the reference run itself (the
+the error of every config run on it.  Every kernel run the program makes
+on an input set but the reference run goes through its ledger's measure:
+the dataset builds, and through error the verify runs, the descents and
+the brute-force enumeration.  A config already in the ledger is read, not
+run again; the new ones are run once each, in batches, entered and counted
+in its runs.  A ledger is seeded with the reference run itself (the
 all-MANTISSA_MAX config).  The tune, transfer and oracle commands give one
 ledger to all their calls on an input set, so that no config runs twice on
-it in a whole command; each record's kernel_runs counts the runs its own
-call added.  Searches and tuners answer with plain width tuples; the error
-of each is read off the ledger.  A ledger also holds the kernel stage
-results of its last runs (kernels.run_kernel's memo): a new config that
-agrees with the run that computed a stage on the widths the stage reads
-reuses it.  Its output is still the config's whole output, and it is still a run,
-entered in errors and counted in runs like any other.
+it in a whole command, not even one the dataset drew; each record's
+kernel_runs counts the runs its own call added.  Searches and tuners
+answer with plain width tuples; the error of each is read off the ledger.
+A ledger also holds the kernel stage results of its last runs
+(kernels.run_kernel's memo): a new config that agrees with the run that
+computed a stage on the widths the stage reads reuses it; a batch's stage
+is keyed by the widths of all its rows.  Its output is still the config's
+whole output, and it is still a run, entered in errors and counted in
+runs like any other.
 
 plus_refine is the one verified descent: it walks a feasible config
 downward slot by slot with binary search, re-running the kernel through
@@ -72,7 +76,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .dataset import Dataset, build_dataset, compute_error, error_sample, log_error, reference_output
+from .dataset import Dataset, build_dataset, compute_error, compute_errors, error_sample, log_error, reference_output
 from .embed import DomainBox, dt_label_boxes, nn_bound_info, split_weights
 from .flexnum import MANTISSA_MAX, MANTISSA_MIN
 from .kernels import CAST, InputSet, dependency_graph, get_benchmark, run_kernel
@@ -147,11 +151,20 @@ def build_problem(
     )
 
 
+# 32 configs of a 1024-value input per kernel run: the per-call cost of the
+# emulation is spread thin for about 2 MB more peak memory, most of it the
+# rounding constants the batch writes out per value shape (1.1-2.0 MB
+# traced for one batch of fwt, saxpy, convolution 32x32 or correlation
+# 16x64); at 2x and 4x the size, builds of those two were no faster and
+# their traced peak grew by 2-6 MB
+BATCH_ELEMENTS = 1 << 15
+
+
 class RunLedger:
     """The runs made on one input set: its reference output ref, the run of
     the all-MANTISSA_MAX config, and errors, config -> error of every config
     run on it, seeded with that run.  runs counts the kernel runs made
-    through error, the reference run not among them.  memo holds the last
+    through measure, the reference run not among them.  memo holds the last
     result of each kernel stage (kernels.run_kernel), which a run that
     agrees on the widths of the slots the stage reads reuses."""
 
@@ -164,13 +177,27 @@ class RunLedger:
         self.runs = 0
         self.memo = {}
 
+    def measure(self, configs) -> list[float]:
+        """The error of each config.  The distinct configs the ledger lacks
+        are run once each, in first-seen order, in batches of as many
+        configs as keep the batch's copies of the input set within
+        BATCH_ELEMENTS values; a batched run gives each config the bits it
+        gets alone."""
+        keys = [tuple(map(int, config)) for config in configs]
+        new = list(dict.fromkeys(key for key in keys if key not in self.errors))
+        if new:
+            values = sum(np.size(a) for a in self.input_set.arrays.values())
+            step = max(1, BATCH_ELEMENTS // values)
+            for i in range(0, len(new), step):
+                batch = new[i : i + step]
+                outs = run_kernel(self.benchmark, self.input_set, batch, memo=self.memo)
+                self.errors.update(zip(batch, compute_errors(outs, self.ref).tolist()))
+                self.runs += len(batch)
+        return [self.errors[key] for key in keys]
+
     def error(self, config: tuple[int, ...]) -> float:
         """config's error, run and entered the first time it is asked for."""
-        if config not in self.errors:
-            out = run_kernel(self.benchmark, self.input_set, config, memo=self.memo)
-            self.errors[config] = compute_error(out, self.ref)
-            self.runs += 1
-        return self.errors[config]
+        return self.measure([config])[0]
 
 
 # --- dependency handling ------------------------------------------------------
@@ -428,8 +455,8 @@ def smart_tune(
     (status "max_descent", pre_refine that config) when it passes, and
     "model_infeasible" with that one run's error when it misses.
 
-    kernel_runs counts the runs this call adds to the ledger, plus the
-    dataset construction when no dataset is passed in, adam_steps the Adam
+    kernel_runs counts the runs this call adds to the ledger, those of the
+    dataset it builds when none is passed in among them, adam_steps the Adam
     updates of its retrains after misses (not of the initial fit; a miss in
     the last budget round makes no retrain), and search_boxes the boxes its
     searches bounded.  A passed-in dataset is left untouched; misses
@@ -439,24 +466,16 @@ def smart_tune(
     if models is not None and dataset is None:
         raise ValueError("initial models need the dataset they were fitted on")
     benchmark = ledger.benchmark
-    dataset_runs = 0
+    known = ledger.runs
     if dataset is None:
         dataset = build_dataset(
-            benchmark,
-            n_samples=dataset_size,
-            nbit_lo=nbit_min,
-            nbit_hi=nbit_max,
-            seed_sample=seed_sample,
-            input_set=ledger.input_set,
-            ref=ledger.ref,
+            ledger, n_samples=dataset_size, nbit_lo=nbit_min, nbit_hi=nbit_max, seed_sample=seed_sample
         )
-        dataset_runs = dataset_size
     else:
         dataset = replace(dataset, samples=list(dataset.samples))
     regressor, classifier = models if models is not None else fit_models(dataset, train_cfg)
 
     cuts: set[tuple[int, ...]] = set()
-    known = ledger.runs
     stats = SearchStats()
     adam_steps = 0
     last: tuple[int, ...] | None = None
@@ -467,7 +486,7 @@ def smart_tune(
             actual_error=ledger.errors[last] if last is not None else float("inf"),
             refinement_iterations=rounds,
             samples_added=len(cuts),
-            kernel_runs=dataset_runs + ledger.runs - known,
+            kernel_runs=ledger.runs - known,
             status=status,
             ledger=ledger,
             adam_steps=adam_steps,
@@ -485,7 +504,7 @@ def smart_tune(
             return replace(
                 base,
                 refinement_iterations=iteration,
-                kernel_runs=dataset_runs + base.kernel_runs,
+                kernel_runs=ledger.runs - known,
                 status="max_descent" if base.feasible else "model_infeasible",
                 pre_refine=(nbit_max,) * problem.domain.n_dims if base.feasible else None,
                 search_boxes=stats.boxes,

@@ -20,9 +20,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from builds import fresh_dataset
 from oracles import flex_op, grid_positive
 from prectune.cli import main as cli_main, target_slug
-from prectune.dataset import build_dataset, compute_error, reference_output
+from prectune.dataset import compute_error, reference_output
 from prectune.embed import DomainBox, dt_label_boxes, nn_bound_info
 from prectune.flexnum import FlexFormat, round_to_format
 from prectune.kernels import dependency_graph, gen_input_set, run_kernel
@@ -57,7 +58,7 @@ def dataset_1k():
     def get(bench: str, n_samples: int = 1000, seed_sample: int = 0):
         key = (bench, n_samples, seed_sample)
         if key not in cache:
-            cache[key] = build_dataset(bench, n_samples=n_samples, seed_sample=seed_sample)
+            cache[key] = fresh_dataset(bench, n_samples=n_samples, seed_sample=seed_sample)
         return cache[key]
 
     return get
@@ -209,7 +210,7 @@ class TestC05RegressorTrend:
     def test_c05_rmse_decreases_with_training_size(self, bench):
         # one master draw; sizes are nested prefixes, the held-out set is
         # the fixed tail, so only the training size varies
-        master = build_dataset(bench, n_samples=4500, seed_sample=0)
+        master = fresh_dataset(bench, n_samples=4500, seed_sample=0)
         held = master.samples[4000:]
         x = np.array([s.config for s in held], dtype=np.float64)
         y = np.array([s.log_err for s in held])

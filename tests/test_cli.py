@@ -59,14 +59,13 @@ BAD_TRAINING = [
 
 @pytest.fixture
 def runs_by_input(monkeypatch):
-    """(input seed, config) of each single-config kernel run, the
-    reference runs among them; dataset builds run batches of configs."""
+    """(input seed, config) of each kernel run, the reference runs among
+    them, and each row of a batch a run of its own."""
     made = []
 
     def counted(fn):
         def call(benchmark, input_set, config, **kwargs):
-            if np.ndim(config) == 1:
-                made.append((input_set.seed, tuple(int(w) for w in config)))
+            made.extend((input_set.seed, tuple(row)) for row in np.atleast_2d(config).tolist())
             return fn(benchmark, input_set, config, **kwargs)
 
         return call
@@ -339,6 +338,39 @@ class TestTuneCommand:
         assert f"has {field} " in capsys.readouterr().err
         assert not (tmp_path / "saxpy_smart_0.1.json").exists()
 
+    @pytest.mark.parametrize("field,box", [
+        ("nbit_lo", []), ("nbit_lo", ["--nbit-min", "9", "--nbit-max", "20"]), ("nbit_hi", ["--nbit-min", "10"]),
+    ])
+    def test_prebuilt_dataset_from_other_width_box(self, tmp_path, capsys, field, box):
+        # models fitted on [10, 20] know nothing outside it
+        assert run("dataset", "--benchmark", "saxpy", "--dataset-size", "30", "--nbit-min", "10",
+                   "--nbit-max", "20", "--shape", "n=64", "--out", str(tmp_path)) == EXIT_OK
+        rc = run("tune", "--benchmark", "saxpy", "--target", "1e-1", "--mode", "smart", "--shape", "n=64",
+                 *box, "--dataset", str(tmp_path / "saxpy_dataset.csv"), "--out", str(tmp_path))
+        assert rc == EXIT_USAGE
+        assert f"has {field} " in capsys.readouterr().err
+        assert not (tmp_path / "saxpy_smart_0.1.json").exists()
+
+    def test_prebuilt_dataset_errors_are_not_entered(self, tmp_path, runs_by_input):
+        # the dataset holds every config of the [4, 5] box, so every config
+        # the tuner verifies is in it; each is still run by the tune
+        box = ("--nbit-min", "4", "--nbit-max", "5", "--shape", "n=64")
+        assert run("dataset", "--benchmark", "saxpy", "--dataset-size", "40", *box,
+                   "--out", str(tmp_path)) == EXIT_OK
+        assert len({s.config for s in load_dataset(tmp_path / "saxpy_dataset.csv").samples}) == 8
+        runs_by_input.clear()
+        targets = ("1e-1", "1e-2", "1e-3")
+        rc = run("tune", "--benchmark", "saxpy", "--mode", "smart", "--target", ",".join(targets), *box,
+                 "--dataset", str(tmp_path / "saxpy_dataset.csv"), "--out", str(tmp_path))
+        assert rc in (EXIT_OK, EXIT_INFEASIBLE)
+        records = tune_records(tmp_path, "smart", targets)
+        made = [cfg for _, cfg in runs_by_input]
+        verified = {tuple(rec["config"]) for rec in records if rec["config"] is not None}
+        assert verified and verified <= set(made)
+        # the reference run, then the verify runs, each once
+        assert len(set(made)) == len(made) == 1 + sum(rec["kernel_runs"] for rec in records)
+        assert all(rec["dataset_runs"] == 0 for rec in records)
+
     def test_prebuilt_dataset_sidecar_bad_value(self, tmp_path, capsys):
         assert run("dataset", "--benchmark", "saxpy", "--dataset-size", "30",
                    "--shape", "n=64", "--out", str(tmp_path)) == EXIT_OK
@@ -506,14 +538,13 @@ class TestRunLedger:
 
     @pytest.fixture
     def made(self, monkeypatch):
-        # single-config runs, the reference run among them; dataset builds
-        # run batches of configs
+        # every config run, the reference run among them, and each row of
+        # a batch a run of its own
         made = []
 
         def counted(fn):
             def call(benchmark, input_set, config, **kwargs):
-                if np.ndim(config) == 1:
-                    made.append(tuple(int(w) for w in config))
+                made.extend(tuple(row) for row in np.atleast_2d(config).tolist())
                 return fn(benchmark, input_set, config, **kwargs)
 
             return call
@@ -529,13 +560,13 @@ class TestRunLedger:
         together = tune_records(tmp_path / "all", mode, self.TARGETS)
         assert made.count((52, 52, 52)) == 1
         assert len(set(made)) == len(made)
-        # every run but the reference run is some target's
-        assert sum(rec["kernel_runs"] for rec in together) == len(made) - 1
+        # every run but the reference run is the dataset's or some target's
+        assert together[0]["dataset_runs"] + sum(rec["kernel_runs"] for rec in together) == len(made) - 1
         for target, rec in zip(self.TARGETS, together):
             made.clear()
             assert run(*args, "--target", target, "--out", str(tmp_path / target)) == EXIT_OK
             (alone,) = tune_records(tmp_path / target, mode, [target])
-            assert alone["kernel_runs"] == len(made) - 1
+            assert alone["dataset_runs"] + alone["kernel_runs"] == len(made) - 1
             for key in ("config", "actual_error", "status", "iterations"):
                 assert rec[key] == alone[key], key
 
@@ -724,12 +755,21 @@ class TestOracleCommand:
         assert rc == EXIT_USAGE
 
 
+def module_env() -> dict:
+    """The environment with the directory of the imported prectune package
+    first on PYTHONPATH, so that a child python imports the same package
+    from an uninstalled checkout."""
+    here = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    path = os.environ.get("PYTHONPATH")
+    return {**os.environ, "PYTHONPATH": here + (os.pathsep + path if path else "")}
+
+
 class TestEntryPoint:
     def test_module_invocation(self, tmp_path):
         proc = subprocess.run(
             [sys.executable, "-m", "prectune.cli", "dataset", "--benchmark", "saxpy",
              "--dataset-size", "20", "--shape", "n=64", "--out", str(tmp_path)],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=module_env(),
         )
         assert proc.returncode == 0, proc.stderr
         assert (tmp_path / "saxpy_dataset.csv").exists()
@@ -737,7 +777,7 @@ class TestEntryPoint:
     def test_help_exits_zero(self):
         proc = subprocess.run(
             [sys.executable, "-m", "prectune.cli", "--help"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=module_env(),
         )
         assert proc.returncode == 0
         for sub in ("dataset", "train", "tune", "sweep", "transfer", "snap-hw", "oracle"):

@@ -8,6 +8,7 @@ import pytest
 
 from prectune import dataset as D
 from prectune import kernels as K
+from builds import fresh_dataset
 from oracles import samples_per_config
 from prectune.dataset import (
     CLASS_THRESHOLD,
@@ -24,6 +25,8 @@ from prectune.dataset import (
     reference_output,
     save_dataset,
 )
+from prectune import solve
+from prectune.solve import RunLedger
 
 
 class TestLhsConfigs:
@@ -197,47 +200,72 @@ BATCH_SHAPES = {
 
 
 class TestBatchedBuild:
-    """build_dataset runs its configs in batches; the per-config loop in
-    oracles.py must give the same samples, whatever the batch size."""
+    """build_dataset measures its configs through the run ledger, which runs
+    them in batches; the per-config loop in oracles.py must give the same
+    samples, whatever the batch size."""
 
     @pytest.mark.parametrize("name", sorted(BATCH_SHAPES))
-    @pytest.mark.parametrize("budget", [1, 300, 1 << 14, D.BATCH_ELEMENTS])
+    @pytest.mark.parametrize("budget", [1, 300, 1 << 14, solve.BATCH_ELEMENTS])
     def test_matches_per_config_build(self, name, budget, monkeypatch):
         inp = K.gen_input_set(name, BATCH_SHAPES[name], 3)
         calls = []
 
-        def counted(bench, input_set, config):
+        def counted(bench, input_set, config, **kwargs):
             calls.append(np.shape(config))
-            return K.run_kernel(bench, input_set, config)
+            return K.run_kernel(bench, input_set, config, **kwargs)
 
-        monkeypatch.setattr(D, "BATCH_ELEMENTS", budget)
+        monkeypatch.setattr(solve, "BATCH_ELEMENTS", budget)
+        monkeypatch.setattr(solve, "run_kernel", counted)
         monkeypatch.setattr(D, "run_kernel", counted)
-        ds = build_dataset(name, n_samples=37, input_set=inp, seed_sample=5)
+        ds = build_dataset(solve.RunLedger(inp), n_samples=37, seed_sample=5)
         values = sum(np.size(a) for a in inp.arrays.values())
         step = max(1, budget // values)
         n_var = K.get_benchmark(name).n_var
+        configs = D.lhs_configs(37, n_var, 1, 52, 5)
+        # the distinct configs the fresh ledger lacks: all but the reference
+        new = len({tuple(c) for c in configs.tolist()} - {(52,) * n_var})
         # the reference run, then the batches
-        assert calls == [(n_var,)] + [(min(step, 37 - i), n_var) for i in range(0, 37, step)]
+        assert calls == [(n_var,)] + [(min(step, new - i), n_var) for i in range(0, new, step)]
 
         ref = reference_output(name, inp)
-        configs = D.lhs_configs(37, n_var, 1, 52, 5)
         want = samples_per_config(lambda c: K.run_kernel(name, inp, c), configs, ref)
         assert [(s.config, s.error, s.log_err, s.class_label) for s in ds.samples] == want
 
     def test_class_one_samples_survive_batching(self):
         inp = K.gen_input_set("fwt", {"n": 64}, seed=1)
-        ds = build_dataset("fwt", n_samples=60, input_set=inp, seed_sample=0)
+        ds = build_dataset(RunLedger(inp), n_samples=60, seed_sample=0)
         ref = reference_output("fwt", inp)
         want = samples_per_config(lambda c: K.run_kernel("fwt", inp, c), ds.configs(), ref)
         assert any(row[3] == 1 for row in want)
         assert [(s.config, s.error, s.log_err, s.class_label) for s in ds.samples] == want
 
 
+class TestBuildThroughLedger:
+    def test_each_distinct_config_runs_once(self):
+        # the seed-0 draw of 1000 fwt configs over [1, 52] holds 845
+        # distinct ones
+        ledger = RunLedger(K.gen_input_set("fwt", None, 0))
+        ds = build_dataset(ledger, n_samples=1000, seed_sample=0)
+        configs = {s.config for s in ds.samples}
+        assert len(ds.samples) == 1000
+        assert ledger.runs == len(configs) == 845
+        assert all(ledger.errors[s.config] == s.error for s in ds.samples)
+        # a sampled config is read, not run again
+        ledger.error(ds.samples[0].config)
+        assert ledger.runs == 845
+
+    def test_fields_come_from_the_ledger_input_set(self):
+        inp = K.gen_input_set("saxpy", {"n": 16}, seed=4)
+        ds = build_dataset(RunLedger(inp), n_samples=5, nbit_lo=3, nbit_hi=9, seed_sample=2)
+        assert (ds.benchmark, ds.shape, ds.seed_input) == ("saxpy", {"n": 16}, 4)
+        assert (ds.nbit_lo, ds.nbit_hi, ds.seed_sample) == (3, 9, 2)
+
+
 class TestBuildDataset:
     def test_shape_and_determinism(self):
-        ds1 = build_dataset("saxpy", n_samples=40, shape={"n": 32}, seed_input=2, seed_sample=3)
-        ds2 = build_dataset("saxpy", n_samples=40, shape={"n": 32}, seed_input=2, seed_sample=3)
-        ds3 = build_dataset("saxpy", n_samples=40, shape={"n": 32}, seed_input=2, seed_sample=4)
+        ds1 = fresh_dataset("saxpy", n_samples=40, shape={"n": 32}, seed_input=2, seed_sample=3)
+        ds2 = fresh_dataset("saxpy", n_samples=40, shape={"n": 32}, seed_input=2, seed_sample=3)
+        ds3 = fresh_dataset("saxpy", n_samples=40, shape={"n": 32}, seed_input=2, seed_sample=4)
         assert len(ds1.samples) == 40
         assert ds1.samples == ds2.samples
         assert ds1.samples != ds3.samples
@@ -246,7 +274,7 @@ class TestBuildDataset:
         assert ds1.shape == {"n": 32}
 
     def test_box_respected(self):
-        ds = build_dataset("saxpy", n_samples=30, nbit_lo=6, nbit_hi=14, shape={"n": 16})
+        ds = fresh_dataset("saxpy", n_samples=30, nbit_lo=6, nbit_hi=14, shape={"n": 16})
         cfgs = ds.configs()
         assert cfgs.min() >= 6 and cfgs.max() <= 14
 
@@ -254,9 +282,7 @@ class TestBuildDataset:
         # errors are measured against the 52-bit run even when the sampled
         # box tops out lower
         inp = K.gen_input_set("saxpy", {"n": 16}, seed=5)
-        ds = build_dataset(
-            "saxpy", n_samples=10, nbit_lo=4, nbit_hi=8, seed_sample=1, input_set=inp
-        )
+        ds = build_dataset(RunLedger(inp), n_samples=10, nbit_lo=4, nbit_hi=8, seed_sample=1)
         ref = reference_output("saxpy", inp)
         s = ds.samples[0]
         out = K.run_kernel("saxpy", inp, s.config)
@@ -264,23 +290,23 @@ class TestBuildDataset:
         assert s.error > 0.0
 
     def test_column_accessors(self):
-        ds = build_dataset("saxpy", n_samples=12, shape={"n": 16})
+        ds = fresh_dataset("saxpy", n_samples=12, shape={"n": 16})
         assert ds.log_errs().shape == (12,)
         assert ds.class_labels().shape == (12,)
         assert set(np.unique(ds.class_labels())) <= {0, 1}
 
     def test_all_positive_kernel_has_no_class_one(self):
-        ds = build_dataset("saxpy", n_samples=200, shape={"n": 64}, seed_sample=9)
+        ds = fresh_dataset("saxpy", n_samples=200, shape={"n": 64}, seed_sample=9)
         assert int(ds.class_labels().sum()) == 0
 
     def test_cancellation_kernel_has_class_one(self):
-        ds = build_dataset("bscholes", n_samples=200, shape={"n": 64}, seed_sample=9)
+        ds = fresh_dataset("bscholes", n_samples=200, shape={"n": 64}, seed_sample=9)
         assert int(ds.class_labels().sum()) > 0
 
 
 class TestSerialization:
     def test_round_trip(self, tmp_path):
-        ds = build_dataset("saxpy", n_samples=25, shape={"n": 16}, seed_input=1, seed_sample=2)
+        ds = fresh_dataset("saxpy", n_samples=25, shape={"n": 16}, seed_input=1, seed_sample=2)
         path = tmp_path / "saxpy.csv"
         save_dataset(ds, path)
         back = load_dataset(path)
@@ -310,7 +336,7 @@ class TestSerialization:
         "key", ["benchmark", "nbit_lo", "nbit_hi", "seed_input", "seed_sample", "shape", "n_samples"]
     )
     def test_sidecar_missing_key_named(self, tmp_path, key):
-        ds = build_dataset("saxpy", n_samples=3, shape={"n": 16})
+        ds = fresh_dataset("saxpy", n_samples=3, shape={"n": 16})
         path = tmp_path / "ds.csv"
         save_dataset(ds, path)
         sidecar = tmp_path / "ds.csv.meta.json"
@@ -340,7 +366,7 @@ class TestSerialization:
         ("n_samples", 3.0),
     ])
     def test_sidecar_bad_value_named(self, tmp_path, key, value):
-        ds = build_dataset("saxpy", n_samples=3, shape={"n": 16})
+        ds = fresh_dataset("saxpy", n_samples=3, shape={"n": 16})
         path = tmp_path / "ds.csv"
         save_dataset(ds, path)
         sidecar = tmp_path / "ds.csv.meta.json"
@@ -351,7 +377,7 @@ class TestSerialization:
             load_dataset(path)
 
     def test_sidecar_not_an_object(self, tmp_path):
-        ds = build_dataset("saxpy", n_samples=3, shape={"n": 16})
+        ds = fresh_dataset("saxpy", n_samples=3, shape={"n": 16})
         path = tmp_path / "ds.csv"
         save_dataset(ds, path)
         (tmp_path / "ds.csv.meta.json").write_text("5\n")
@@ -359,7 +385,7 @@ class TestSerialization:
             load_dataset(path)
 
     def test_bad_column_count_reports_line(self, tmp_path):
-        ds = build_dataset("saxpy", n_samples=3, shape={"n": 16})
+        ds = fresh_dataset("saxpy", n_samples=3, shape={"n": 16})
         path = tmp_path / "bad.csv"
         save_dataset(ds, path)
         lines = path.read_text().splitlines()
@@ -369,7 +395,7 @@ class TestSerialization:
             load_dataset(path)
 
     def test_bad_float_reports_line(self, tmp_path):
-        ds = build_dataset("saxpy", n_samples=3, shape={"n": 16})
+        ds = fresh_dataset("saxpy", n_samples=3, shape={"n": 16})
         path = tmp_path / "bad.csv"
         save_dataset(ds, path)
         lines = path.read_text().splitlines()
@@ -381,7 +407,7 @@ class TestSerialization:
             load_dataset(path)
 
     def test_sample_count_mismatch(self, tmp_path):
-        ds = build_dataset("saxpy", n_samples=4, shape={"n": 16})
+        ds = fresh_dataset("saxpy", n_samples=4, shape={"n": 16})
         path = tmp_path / "short.csv"
         save_dataset(ds, path)
         lines = path.read_text().splitlines()
@@ -397,7 +423,7 @@ class TestSerialization:
         ({"nbit_lo": 30, "nbit_hi": 20}, "nbit_lo"),
     ])
     def test_sidecar_bad_width_box_named(self, tmp_path, meta_update, key):
-        ds = build_dataset("saxpy", n_samples=3, shape={"n": 16})
+        ds = fresh_dataset("saxpy", n_samples=3, shape={"n": 16})
         path = tmp_path / "ds.csv"
         save_dataset(ds, path)
         sidecar = tmp_path / "ds.csv.meta.json"
@@ -411,7 +437,7 @@ class TestSerialization:
     def with_widths(tmp_path, widths):
         """A saxpy dataset over the box [5, 20] whose line 4 has the given
         widths."""
-        ds = build_dataset("saxpy", n_samples=3, nbit_lo=5, nbit_hi=20, shape={"n": 16})
+        ds = fresh_dataset("saxpy", n_samples=3, nbit_lo=5, nbit_hi=20, shape={"n": 16})
         path = tmp_path / "ds.csv"
         save_dataset(ds, path)
         lines = path.read_text().splitlines()
@@ -430,7 +456,7 @@ class TestSerialization:
 
     @pytest.mark.parametrize("label", ["7", "-1", "2"])
     def test_class_not_zero_or_one_reports_line(self, tmp_path, label):
-        ds = build_dataset("saxpy", n_samples=3, shape={"n": 16})
+        ds = fresh_dataset("saxpy", n_samples=3, shape={"n": 16})
         path = tmp_path / "bad.csv"
         save_dataset(ds, path)
         lines = path.read_text().splitlines()
@@ -443,7 +469,7 @@ class TestSerialization:
     def with_tail(tmp_path, tail):
         """A saved saxpy dataset whose line 3 keeps its widths and ends in
         tail, its error, log_err and class columns."""
-        ds = build_dataset("saxpy", n_samples=3, shape={"n": 16})
+        ds = fresh_dataset("saxpy", n_samples=3, shape={"n": 16})
         path = tmp_path / "ds.csv"
         save_dataset(ds, path)
         lines = path.read_text().splitlines()
@@ -472,7 +498,7 @@ class TestSerialization:
         assert (loaded.error, loaded.log_err, loaded.class_label) == (s.error, s.log_err, s.class_label)
 
     def test_loaded_rows_are_rebuilt_from_their_errors(self, tmp_path):
-        ds = build_dataset("saxpy", n_samples=40, shape={"n": 16}, seed_input=3)
+        ds = fresh_dataset("saxpy", n_samples=40, shape={"n": 16}, seed_input=3)
         path = tmp_path / "ds.csv"
         save_dataset(ds, path)
         back = load_dataset(path).samples

@@ -7,6 +7,7 @@ import itertools
 import numpy as np
 import pytest
 
+from builds import fresh_dataset
 from oracles import interval_ranges, pre_activations
 from prectune.dataset import build_dataset
 from prectune.embed import DomainBox, dt_label_boxes, nn_bound_info, tighten_pre
@@ -19,6 +20,7 @@ from prectune.learn import (
     train_classifier,
     train_regressor,
 )
+from prectune.solve import RunLedger
 
 
 def random_box(rng, n_dims, lo=1, hi=52):
@@ -34,7 +36,7 @@ def sample_in_box(rng, box, n):
 
 @pytest.fixture(scope="module")
 def fwt_models():
-    ds = build_dataset("fwt", n_samples=400, shape={"n": 64}, seed_input=0, seed_sample=0)
+    ds = fresh_dataset("fwt", n_samples=400, shape={"n": 64}, seed_input=0, seed_sample=0)
     reg = train_regressor(ds, TrainConfig(epochs=30))
     clf = train_classifier(ds)
     return reg, clf
@@ -63,7 +65,7 @@ class TestDomainBox:
 def deep_models(request):
     bench = request.param
     inp = gen_input_set(bench, {"n": 128}, seed=0)
-    ds = build_dataset(bench, n_samples=300, input_set=inp, seed_sample=0)
+    ds = build_dataset(RunLedger(inp), n_samples=300, seed_sample=0)
     return train_regressor(ds, TrainConfig(epochs=30))
 
 
@@ -105,7 +107,7 @@ def batch_models(request):
     bench = request.param
     shape = {"series": 4, "points": 32} if bench == "correlation" else {"n": 128}
     inp = gen_input_set(bench, shape, seed=0)
-    ds = build_dataset(bench, n_samples=300, input_set=inp, seed_sample=0)
+    ds = build_dataset(RunLedger(inp), n_samples=300, seed_sample=0)
     return train_regressor(ds, TrainConfig(epochs=30))
 
 

@@ -19,10 +19,11 @@ from prectune.kernels import (
     UnknownBenchmarkError,
 )
 
-from prectune.dataset import build_dataset, lhs_configs
+from prectune.dataset import lhs_configs
 from prectune.flexnum import FormatBatch, round_to_format
 from prectune.solve import RunLedger, dependency_consistent, fptuning_baseline
 
+from builds import fresh_dataset
 from oracles import KERNEL_REFS, ROUNDED_KERNELS
 
 EXPECTED_N_VAR = {
@@ -556,7 +557,7 @@ class TestRoundingCalls:
         # included: convolution in 36 batches of up to 28 configs, 244
         # calls each
         count = self.counter(monkeypatch)
-        build_dataset(name, 1000, shape=shape)
+        fresh_dataset(name, 1000, shape=shape)
         assert count[0] == calls
 
 

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from builds import fresh_dataset
 from oracles import train_mlp_per_array
 from prectune.dataset import (
     Dataset,
@@ -17,6 +18,7 @@ from prectune.dataset import (
     reference_output,
 )
 from prectune.kernels import gen_input_set, run_kernel
+from prectune.solve import RunLedger
 from prectune.learn import (
     ADAM_EPS,
     BETA1,
@@ -225,7 +227,7 @@ class TestTrainRegressor:
             train_regressor(ds)
 
     def test_deterministic_bytes(self, tmp_path):
-        ds = build_dataset("saxpy", n_samples=60, shape={"n": 16}, seed_sample=4)
+        ds = fresh_dataset("saxpy", n_samples=60, shape={"n": 16}, seed_sample=4)
         m1 = train_regressor(ds, TrainConfig(epochs=20))
         m2 = train_regressor(ds, TrainConfig(epochs=20))
         p1, p2 = tmp_path / "m1.json", tmp_path / "m2.json"
@@ -234,13 +236,13 @@ class TestTrainRegressor:
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_seed_changes_model(self):
-        ds = build_dataset("saxpy", n_samples=60, shape={"n": 16}, seed_sample=4)
+        ds = fresh_dataset("saxpy", n_samples=60, shape={"n": 16}, seed_sample=4)
         m1 = train_regressor(ds, TrainConfig(epochs=5, seed=0))
         m2 = train_regressor(ds, TrainConfig(epochs=5, seed=1))
         assert any(not np.array_equal(a, b) for a, b in zip(m1.weights, m2.weights))
 
     def test_predict_logerr_scalar_and_batch(self):
-        ds = build_dataset("saxpy", n_samples=40, shape={"n": 16})
+        ds = fresh_dataset("saxpy", n_samples=40, shape={"n": 16})
         model = train_regressor(ds, TrainConfig(epochs=5))
         single = predict_logerr(model, [10, 20, 30])
         batch = predict_logerr(model, np.array([[10, 20, 30], [5, 5, 5]], dtype=float))
@@ -269,14 +271,14 @@ class TestFlatBufferAdam:
 
     @pytest.mark.parametrize("bench,n_var", [("fwt", 2), ("saxpy", 3), ("dwt", 7)])
     def test_bit_identical_to_per_array_adam(self, bench, n_var):
-        ds = build_dataset(bench, n_samples=150, seed_sample=1)
+        ds = fresh_dataset(bench, n_samples=150, seed_sample=1)
         assert ds.n_var == n_var
         self.assert_matches_oracle(ds)
 
     def test_bit_identical_with_appended_misses(self):
         # the verify-retrain loop appends each verified miss to the dataset
         inp = gen_input_set("fwt", None, 3)
-        ds = build_dataset("fwt", n_samples=120, input_set=inp, seed_sample=2)
+        ds = build_dataset(RunLedger(inp), n_samples=120, seed_sample=2)
         ref = reference_output("fwt", inp)
         for cfg in [(5, 5), (9, 12), (30, 30), (1, 1), (52, 52)]:
             ds.samples.append(error_sample(cfg, compute_error(run_kernel("fwt", inp, cfg), ref)))
@@ -292,7 +294,7 @@ class TestWarmStart:
     def grown(self):
         # a fitted model, and its dataset grown by verified configs
         inp = gen_input_set("saxpy", {"n": 64}, 0)
-        ds = build_dataset("saxpy", n_samples=120, input_set=inp, seed_sample=1)
+        ds = build_dataset(RunLedger(inp), n_samples=120, seed_sample=1)
         model = train_regressor(ds, TrainConfig(epochs=20))
         ref = reference_output("saxpy", inp)
         for cfg in [(4, 9, 4), (12, 12, 20), (30, 2, 2)]:
@@ -332,7 +334,7 @@ class TestWarmStart:
 
     def test_start_with_wrong_inputs_refused(self, grown):
         ds, _ = grown
-        fwt = train_regressor(build_dataset("fwt", n_samples=40, seed_sample=0), TrainConfig(epochs=2))
+        fwt = train_regressor(fresh_dataset("fwt", n_samples=40, seed_sample=0), TrainConfig(epochs=2))
         assert fwt.n_inputs == 2 and ds.n_var == 3
         with pytest.raises(ValueError, match="2 inputs"):
             train_regressor(ds, TrainConfig(epochs=2), start=fwt)
@@ -392,7 +394,7 @@ class TestTrainClassifier:
             train_classifier(ds)
 
     def test_classify_matches_independent_walk(self):
-        ds = build_dataset("fwt", n_samples=150, shape={"n": 64}, seed_sample=6)
+        ds = fresh_dataset("fwt", n_samples=150, shape={"n": 64}, seed_sample=6)
         model = train_classifier(ds)
 
         def walk(node, cfg):
@@ -406,7 +408,7 @@ class TestTrainClassifier:
             assert classify(model, cfg) == walk(model.root, cfg)
 
     def test_fits_training_data_when_depth_allows(self):
-        ds = build_dataset("fwt", n_samples=200, shape={"n": 64}, seed_sample=3)
+        ds = fresh_dataset("fwt", n_samples=200, shape={"n": 64}, seed_sample=3)
         model = train_classifier(ds)
         labels = ds.class_labels()
         # integer inputs may collide with both labels; only demand near-fit
@@ -436,7 +438,7 @@ class TestEvalAndSplit:
         assert metrics["accuracy"] == 1.0
 
     def test_split_partition(self):
-        ds = build_dataset("saxpy", n_samples=50, shape={"n": 16}, seed_sample=1)
+        ds = fresh_dataset("saxpy", n_samples=50, shape={"n": 16}, seed_sample=1)
         train, hold = split_dataset(ds, 0.2, seed=0)
         assert len(hold.samples) == 10
         assert len(train.samples) == 40
@@ -444,7 +446,7 @@ class TestEvalAndSplit:
         assert all_back == sorted(ds.samples, key=lambda s: s.config)
 
     def test_split_deterministic(self):
-        ds = build_dataset("saxpy", n_samples=30, shape={"n": 16})
+        ds = fresh_dataset("saxpy", n_samples=30, shape={"n": 16})
         t1, h1 = split_dataset(ds, 0.25, seed=5)
         t2, h2 = split_dataset(ds, 0.25, seed=5)
         t3, h3 = split_dataset(ds, 0.25, seed=6)
@@ -452,7 +454,7 @@ class TestEvalAndSplit:
         assert h1.samples != h3.samples
 
     def test_split_validation(self):
-        ds = build_dataset("saxpy", n_samples=10, shape={"n": 16})
+        ds = fresh_dataset("saxpy", n_samples=10, shape={"n": 16})
         for bad in (0.0, 1.0, -0.5, 2.0):
             with pytest.raises(ValueError):
                 split_dataset(ds, bad, seed=0)
@@ -460,7 +462,7 @@ class TestEvalAndSplit:
 
 class TestSerialization:
     def test_regressor_round_trip(self, tmp_path):
-        ds = build_dataset("saxpy", n_samples=40, shape={"n": 16})
+        ds = fresh_dataset("saxpy", n_samples=40, shape={"n": 16})
         model = train_regressor(ds, TrainConfig(epochs=10))
         path = tmp_path / "reg.json"
         save_regressor(model, path)
@@ -470,7 +472,7 @@ class TestSerialization:
         assert back.input_lo == model.input_lo and back.input_hi == model.input_hi
 
     def test_classifier_round_trip(self, tmp_path):
-        ds = build_dataset("fwt", n_samples=100, shape={"n": 64})
+        ds = fresh_dataset("fwt", n_samples=100, shape={"n": 64})
         model = train_classifier(ds)
         path = tmp_path / "clf.json"
         save_classifier(model, path)

@@ -43,7 +43,7 @@ def test_wrapped_attributes_exist_and_are_restored():
 def test_traced_tune_records_every_solve_layer():
     spans = load_spans()
     inp = gen_input_set("saxpy", {"n": 64}, seed=0)
-    ds = build_dataset("saxpy", n_samples=60, input_set=inp, seed_sample=0)
+    ds = build_dataset(solve.RunLedger(inp), n_samples=60, seed_sample=0)
     tracer = spans.Tracer()
     with tracer.installed():
         result = solve.smart_tune(solve.RunLedger(inp), 1e-3, budget=3, dataset=ds, train_cfg=TrainConfig(epochs=5))
@@ -58,7 +58,7 @@ def test_traced_retrains_record_one_fit_span_each():
     # goes through solve.train_regressor, so each fit is one span
     spans = load_spans()
     inp = gen_input_set("saxpy", {"n": 64}, seed=0)
-    ds = build_dataset("saxpy", n_samples=60, input_set=inp, seed_sample=0)
+    ds = build_dataset(solve.RunLedger(inp), n_samples=60, seed_sample=0)
     tracer = spans.Tracer()
     with tracer.installed():
         result = solve.smart_tune(solve.RunLedger(inp), 1e-3, budget=3, dataset=ds, train_cfg=TrainConfig(epochs=5))

@@ -13,7 +13,7 @@ import pytest
 
 from oracles import consistent_walk, interval_ranges, settle_casts_fixpoint
 from prectune import solve
-from prectune.dataset import Dataset, Sample, build_dataset, compute_error, log_error, reference_output
+from prectune.dataset import Dataset, Sample, build_dataset, compute_error, lhs_configs, log_error, reference_output
 from prectune.embed import DomainBox, dt_label_boxes, nn_bound_info
 from prectune.kernels import dependency_graph, gen_input_set, get_benchmark, run_kernel
 from prectune.learn import (
@@ -52,7 +52,7 @@ def saxpy_input():
 
 @pytest.fixture(scope="module")
 def saxpy_dataset(saxpy_input):
-    return build_dataset("saxpy", n_samples=250, input_set=saxpy_input, seed_sample=0)
+    return build_dataset(RunLedger(saxpy_input), n_samples=250, seed_sample=0)
 
 
 @pytest.fixture(scope="module")
@@ -337,7 +337,7 @@ class TestSolveMP:
 @pytest.fixture(scope="module")
 def dwt_models():
     inp = gen_input_set("dwt", {"n": 64}, seed=0)
-    ds = build_dataset("dwt", n_samples=250, input_set=inp, seed_sample=0)
+    ds = build_dataset(RunLedger(inp), n_samples=250, seed_sample=0)
     cfg = TrainConfig(seed=0)
     return train_regressor(ds, cfg), train_classifier(ds, cfg)
 
@@ -504,6 +504,20 @@ class TestSmartTune:
         with pytest.raises(ValueError):
             smart_tune(RunLedger(saxpy_input), 1e-4, dataset_size=20, models=saxpy_models)
 
+    # 1e-300 is met only at 52 bits: the first models promise nothing, and
+    # the result is the round-1 descent from the all-max config
+    @pytest.mark.parametrize("target,status", [(1e-3, "feasible"), (1e-300, "max_descent")])
+    def test_own_dataset_runs_through_the_ledger(self, saxpy_input, target, status):
+        ledger = RunLedger(saxpy_input)
+        ledger.error((10, 10, 10))
+        before = ledger.runs
+        res = smart_tune(ledger, target, budget=15, dataset_size=100, seed_sample=1)
+        assert res.status == status
+        assert res.kernel_runs == ledger.runs - before
+        drawn = {tuple(c) for c in lhs_configs(100, 3, 1, 52, 1).tolist()}
+        assert drawn <= ledger.errors.keys()
+        assert res.kernel_runs >= len(drawn - {(10, 10, 10), (52, 52, 52)})
+
 
 class TestModelInfeasibleAtRoundOne:
     """fwt at 1e-12 on input seed 22: the models promise no config at round
@@ -521,7 +535,7 @@ class TestModelInfeasibleAtRoundOne:
         assert compute_error(out, reference_output("fwt", fwt_input)) <= self.TARGET
 
     def test_smart_tune_finds_a_config(self, fwt_input):
-        ds = build_dataset("fwt", n_samples=1000, input_set=fwt_input, seed_sample=0)
+        ds = build_dataset(RunLedger(fwt_input), n_samples=1000, seed_sample=0)
         res = smart_tune(RunLedger(fwt_input), self.TARGET, budget=100, dataset=ds,
                          train_cfg=TrainConfig(seed=0))
         assert res.kernel_runs > 0
@@ -604,7 +618,7 @@ class TestRunLedger:
         made = []
 
         def counted(benchmark, input_set, config, **kwargs):
-            made.append(config)
+            made.extend(tuple(row) for row in np.atleast_2d(config).tolist())
             return run_kernel(benchmark, input_set, config, **kwargs)
 
         monkeypatch.setattr(solve, "run_kernel", counted)
@@ -635,6 +649,19 @@ class TestRunLedger:
         got = [ledger.error(cfg) for cfg in asked]
         assert ledger.errors == dict(zip(asked, got))
 
+    def test_measure_runs_each_new_config_once(self, made, saxpy_input):
+        ledger = RunLedger(saxpy_input)
+        ledger.error((10, 10, 10))
+        made.clear()
+        asked = [(8, 9, 10), (10, 10, 10), np.array([8, 9, 10]), (52, 52, 52), [4, 5, 6], (8, 9, 10)]
+        got = ledger.measure(asked)
+        # the configs the ledger lacked, in first-seen order, each once
+        assert made == [(8, 9, 10), (4, 5, 6)] and ledger.runs == 3
+        assert got == [ledger.errors[tuple(int(w) for w in cfg)] for cfg in asked]
+        assert all(type(w) is int for cfg in ledger.errors for w in cfg)
+        for cfg in [(8, 9, 10), (4, 5, 6)]:
+            assert ledger.errors[cfg] == compute_error(run_kernel("saxpy", saxpy_input, cfg), ledger.ref)
+
 
 class TestHonestRunCounts:
     """A call runs no config twice, and its kernel_runs is the number of runs
@@ -648,7 +675,7 @@ class TestHonestRunCounts:
         made = []
 
         def counted(benchmark, input_set, config, **kwargs):
-            made.append(tuple(int(w) for w in config))
+            made.extend(tuple(row) for row in np.atleast_2d(config).tolist())
             return run_kernel(benchmark, input_set, config, **kwargs)
 
         monkeypatch.setattr(solve, "run_kernel", counted)
@@ -660,7 +687,7 @@ class TestHonestRunCounts:
 
     @pytest.fixture(scope="class")
     def dwt_dataset(self, dwt_input):
-        return build_dataset("dwt", n_samples=250, input_set=dwt_input, seed_sample=0)
+        return build_dataset(RunLedger(dwt_input), n_samples=250, seed_sample=0)
 
     @staticmethod
     def assert_honest(made, kernel_runs):
