@@ -130,8 +130,8 @@ def parse_targets(text: str) -> tuple:
             value = float(piece)
         except ValueError:
             raise UsageError(f"target {piece!r} is not a number") from None
-        if not value > 0.0:
-            raise UsageError(f"target {piece!r} must be positive")
+        if not (math.isfinite(value) and value > 0.0):
+            raise UsageError(f"target {piece!r} must be finite and positive")
         out.append(value)
     if not out:
         raise UsageError("target list is empty")
@@ -386,6 +386,8 @@ def _run_method(cfg: RunConfig, ledger: RunLedger, target, dataset, models):
 
 def cmd_tune(args) -> int:
     cfg = make_run_config(args)
+    if args.dataset and cfg.mode == "baseline":
+        raise UsageError("--dataset is for the model modes: baseline mode builds no models")
     bench = single_benchmark(cfg)
     outdir = ensure_outdir(cfg)
     input_set = run_input_set(cfg, bench)

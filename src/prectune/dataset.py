@@ -13,7 +13,7 @@ regression target is the negated decimal log of the error, clamped to
 (outputs with no usable digits, including overflow to inf or nan).
 
 Configs are drawn by integer Latin hypercube sampling over the full width
-box.  Dependency edges between slots are deliberately not enforced here:
+box.  The kernels' slot rules are deliberately not enforced here:
 the models see the whole box and the solver applies the constraints.
 build_dataset measures the configs through a solve.RunLedger of the input
 set, the one place the program runs configs: it runs each distinct config

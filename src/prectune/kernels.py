@@ -7,21 +7,24 @@ a config rounds every arithmetic result and every stored value to the
 format of the slot it lands in; inputs are rounded into their slots on
 load.  All slots use 11 exponent bits, only the mantissa width is tuned.
 
-Two kinds of dependency edges relate slots:
+A kernel declares two kinds of rules over its slots:
 
-  * assignment src -> dst: the value produced at src is stored into dst
-    (rounded again at dst).  Widening dst below src is pointless, so the
-    induced constraint is  x_src <= x_dst.
-  * cast (s1, s2, ...) -> dst: dst stages an expression over operands
-    living in the source slots.  Bits beyond the narrowest operand carry
-    no information, so the induced constraint is  x_dst = min(x_si).
+  * casts, (sources, destination) pairs: the destination stages an
+    expression over operands living in the source slots.  Bits beyond the
+    narrowest operand carry no information, so x_dst = min(x_si).
+  * assignments, (source, destination) pairs: the value produced at the
+    source is stored into the destination (rounded again there).  Widening
+    the destination below the source is pointless, so x_src <= x_dst.
 
 A kernel declares its casts in dependency order: no slot is the result of
 two casts, and no cast reads a slot that a later cast writes.
-BenchmarkDescriptor refuses any other order.  So one pass over the casts,
-in declaration order, gives every cast result its final width
-(solve.settle_casts).  Assignments may point back into a cast chain, as
-jacobi's and fwt's do; they constrain a config but never move a width.
+BenchmarkDescriptor refuses any other order, a cast of fewer than two
+sources or into one of its own sources, and a slot outside the kernel.  So
+one pass over the casts, in declaration order, gives every cast result its
+final width (solve.settle_casts).  Assignments may point back into a cast
+chain, as jacobi's and fwt's do; they constrain a config but never move a
+width.  The descriptor's free lists, once, the slots no cast writes: the
+widths a search chooses directly, which settling the casts completes.
 
 Slot maps (slot count is fixed per kernel):
 
@@ -126,9 +129,6 @@ _PLAIN = (None,) * MANTISSA_MIN + tuple(
     FlexFormat(m, EXPONENT_BITS) for m in range(MANTISSA_MIN, MANTISSA_MAX + 1)
 )
 
-ASSIGNMENT = "assignment"
-CAST = "cast"
-
 
 class UnknownBenchmarkError(ValueError):
     pass
@@ -143,51 +143,39 @@ class ConfigError(ValueError):
 
 
 @dataclass(frozen=True)
-class DependencyEdge:
-    kind: str
-    sources: tuple[int, ...]
-    destination: int
-
-    def __post_init__(self) -> None:
-        if self.kind not in (ASSIGNMENT, CAST):
-            raise ValueError(f"bad edge kind {self.kind!r}")
-        if self.kind == ASSIGNMENT and len(self.sources) != 1:
-            raise ValueError("assignment edges take exactly one source")
-        if self.kind == CAST and len(self.sources) < 2:
-            raise ValueError("cast edges take at least two sources")
-
-
-def _assign(src: int, dst: int) -> DependencyEdge:
-    return DependencyEdge(ASSIGNMENT, (src,), dst)
-
-
-def _cast(sources: tuple[int, ...], dst: int) -> DependencyEdge:
-    return DependencyEdge(CAST, sources, dst)
-
-
-@dataclass(frozen=True)
 class BenchmarkDescriptor:
     name: str
     slot_names: tuple[str, ...]
-    # casts in dependency order (module docstring)
-    edges: tuple[DependencyEdge, ...]
+    # (sources, destination) pairs, in dependency order (module docstring)
+    casts: tuple[tuple[tuple[int, ...], int], ...]
+    # (source, destination) pairs
+    assignments: tuple[tuple[int, int], ...]
     default_shape: dict[str, int] = field(default_factory=dict)
+    # the slots no cast writes, ascending
+    free: tuple[int, ...] = field(init=False)
 
     def __post_init__(self) -> None:
-        for e in self.edges:
-            for s in (*e.sources, e.destination):
-                assert 0 <= s < self.n_var, f"{self.name}: slot {s} out of range"
-        casts = [e for e in self.edges if e.kind == CAST]
-        dests = [e.destination for e in casts]
-        if len(set(dests)) < len(dests):
+        slots = [s for sources, dst in self.casts for s in (*sources, dst)]
+        slots += [s for src, dst in self.assignments for s in (src, dst)]
+        for slot in slots:
+            if not 0 <= slot < self.n_var:
+                raise ValueError(f"{self.name}: slot {slot} out of range")
+        dests = [dst for _, dst in self.casts]
+        written = set(dests)
+        if len(written) < len(dests):
             raise ValueError(f"{self.name}: a slot is the result of two casts")
-        for i, e in enumerate(casts):
-            later = set(e.sources) & set(dests[i + 1:])
+        for i, (sources, dst) in enumerate(self.casts):
+            if len(sources) < 2:
+                raise ValueError(f"{self.name}: the cast into slot {dst} has fewer than two sources")
+            if dst in sources:
+                raise ValueError(f"{self.name}: the cast into slot {dst} reads its own result")
+            later = set(sources) & set(dests[i + 1:])
             if later:
                 raise ValueError(
-                    f"{self.name}: the cast into slot {e.destination} reads slot "
+                    f"{self.name}: the cast into slot {dst} reads slot "
                     f"{min(later)}, which a later cast writes"
                 )
+        object.__setattr__(self, "free", tuple(s for s in range(self.n_var) if s not in written))
 
     @property
     def n_var(self) -> int:
@@ -224,10 +212,6 @@ def get_benchmark(name: str) -> BenchmarkDescriptor:
         raise UnknownBenchmarkError(
             f"unknown benchmark {name!r}, available: {list_benchmarks()}"
         ) from None
-
-
-def dependency_graph(name: str) -> tuple[DependencyEdge, ...]:
-    return get_benchmark(name).edges
 
 
 def gen_input_set(name: str, shape: dict[str, int] | None = None, seed: int = 0) -> InputSet:
@@ -343,7 +327,8 @@ _register(
     BenchmarkDescriptor(
         name="fwt",
         slot_names=("data", "stage"),
-        edges=(_cast((0, 0), 1), _assign(1, 0)),
+        casts=(((0, 0), 1),),
+        assignments=((1, 0),),
         default_shape={"n": 1024},
     ),
     _gen_fwt,
@@ -378,7 +363,8 @@ _register(
     BenchmarkDescriptor(
         name="saxpy",
         slot_names=("x", "y", "stage"),
-        edges=(_cast((0, 1), 2), _assign(2, 1)),
+        casts=(((0, 1), 2),),
+        assignments=((2, 1),),
         default_shape={"n": 1024},
     ),
     _gen_saxpy,
@@ -421,7 +407,8 @@ _register(
     BenchmarkDescriptor(
         name="convolution",
         slot_names=("image", "weights", "product", "acc"),
-        edges=(_cast((0, 1), 2), _assign(2, 3)),
+        casts=(((0, 1), 2),),
+        assignments=((2, 3),),
         default_shape={"rows": 64, "cols": 64},
     ),
     _gen_convolution,
@@ -464,13 +451,14 @@ _register(
     BenchmarkDescriptor(
         name="dwt",
         slot_names=("x", "a1", "d1", "a2", "d2", "a3", "d3"),
-        edges=(
-            _assign(0, 1),
-            _assign(0, 2),
-            _assign(1, 3),
-            _assign(1, 4),
-            _assign(3, 5),
-            _assign(3, 6),
+        casts=(),
+        assignments=(
+            (0, 1),
+            (0, 2),
+            (1, 3),
+            (1, 4),
+            (3, 5),
+            (3, 6),
         ),
         default_shape={"n": 1024},
     ),
@@ -538,13 +526,15 @@ _register(
     BenchmarkDescriptor(
         name="correlation",
         slot_names=("data", "mean", "dev", "cov", "var", "std", "corr"),
-        edges=(
-            _assign(0, 1),
-            _cast((0, 1), 2),
-            _assign(2, 3),
-            _assign(2, 4),
-            _assign(4, 5),
-            _cast((3, 5), 6),
+        casts=(
+            ((0, 1), 2),
+            ((3, 5), 6),
+        ),
+        assignments=(
+            (0, 1),
+            (2, 3),
+            (2, 4),
+            (4, 5),
         ),
         default_shape={"series": 16, "points": 256},
     ),
@@ -625,17 +615,19 @@ _register(
             "discounted_strike",
             "price",
         ),
-        edges=(
-            _cast((0, 1), 5),
-            _assign(5, 6),
-            _cast((2, 3, 4), 7),
-            _cast((3, 4), 8),
-            _cast((6, 7, 8), 9),
-            _cast((8, 9), 10),
-            _assign(9, 11),
-            _assign(10, 12),
-            _cast((1, 2, 4), 13),
-            _cast((0, 11, 12, 13), 14),
+        casts=(
+            ((0, 1), 5),
+            ((2, 3, 4), 7),
+            ((3, 4), 8),
+            ((6, 7, 8), 9),
+            ((8, 9), 10),
+            ((1, 2, 4), 13),
+            ((0, 11, 12, 13), 14),
+        ),
+        assignments=(
+            (5, 6),
+            (9, 11),
+            (10, 12),
         ),
         default_shape={"n": 256},
     ),
@@ -703,31 +695,33 @@ _register(
             *(f"ab_{t}" for t in ("dn", "ds", "dw", "de", "sv", "sh", "lap", "diff", "new", "tot")),
             *(f"ba_{t}" for t in ("dn", "ds", "dw", "de", "sv", "sh", "lap", "diff", "new", "tot")),
         ),
-        edges=(
-            _assign(0, 1),
-            _cast((0, 0), 5),
-            _cast((0, 0), 6),
-            _cast((0, 0), 7),
-            _cast((0, 0), 8),
-            _cast((5, 6), 9),
-            _cast((7, 8), 10),
-            _cast((9, 10), 11),
-            _cast((2, 11), 12),
-            _cast((0, 12), 13),
-            _cast((13, 3), 14),
-            _assign(14, 1),
-            _cast((1, 1), 15),
-            _cast((1, 1), 16),
-            _cast((1, 1), 17),
-            _cast((1, 1), 18),
-            _cast((15, 16), 19),
-            _cast((17, 18), 20),
-            _cast((19, 20), 21),
-            _cast((2, 21), 22),
-            _cast((1, 22), 23),
-            _cast((23, 3), 24),
-            _assign(24, 0),
-            _assign(0, 4),
+        casts=(
+            ((0, 0), 5),
+            ((0, 0), 6),
+            ((0, 0), 7),
+            ((0, 0), 8),
+            ((5, 6), 9),
+            ((7, 8), 10),
+            ((9, 10), 11),
+            ((2, 11), 12),
+            ((0, 12), 13),
+            ((13, 3), 14),
+            ((1, 1), 15),
+            ((1, 1), 16),
+            ((1, 1), 17),
+            ((1, 1), 18),
+            ((15, 16), 19),
+            ((17, 18), 20),
+            ((19, 20), 21),
+            ((2, 21), 22),
+            ((1, 22), 23),
+            ((23, 3), 24),
+        ),
+        assignments=(
+            (0, 1),
+            (14, 1),
+            (24, 0),
+            (0, 4),
         ),
         default_shape={"side": 32, "iters": 50},
     ),

@@ -19,14 +19,18 @@ order cannot change the answer: acceptance at a point is exact model
 inference, and the search returns exactly what brute enumeration of
 consistent configs against the models would.
 
-A config's cast slots are settled in one place, settle_casts: one pass
-over the casts in the order the kernel declares them, which
-kernels.BenchmarkDescriptor guarantees is dependency order, then a check
-of the assignments.  The descents settle every probe with it,
-brute_force_optimum every placement of the free slots, and
-dependency_consistent asks whether settling leaves a config unchanged.
-propagate_box is the one fixpoint over the edges: over a box, an
-assignment into a cast chain (jacobi's, fwt's) feeds back into it.
+The slot rules are the kernel's descriptor (kernels.BenchmarkDescriptor):
+its casts, its assignments and its free slots, those no cast writes.  A
+config's cast slots are settled in one place, settle_casts: one pass over
+the casts in the order the kernel declares them, which the descriptor
+guarantees is dependency order, then a check of the assignments.  The
+descents settle every probe with it, brute_force_optimum every placement
+of the free slots, and dependency_consistent asks whether settling leaves
+a config unchanged.  propagate_box is the one fixpoint over the rules:
+over a box, an assignment into a cast chain (jacobi's, fwt's) feeds back
+into it.  It sweeps the casts and then the assignments until a sweep
+moves no bound; each rule only narrows the box, so neither the fixpoint
+nor whether the box comes out empty depends on that order.
 
 smart_tune wraps the solver in a verify-retrain loop: each proposed config
 is actually run; a miss becomes a new training sample and an excluded
@@ -79,7 +83,7 @@ import numpy as np
 from .dataset import Dataset, build_dataset, compute_error, compute_errors, error_sample, log_error, reference_output
 from .embed import DomainBox, dt_label_boxes, nn_bound_info, split_weights
 from .flexnum import MANTISSA_MAX, MANTISSA_MIN
-from .kernels import CAST, InputSet, dependency_graph, get_benchmark, run_kernel
+from .kernels import BenchmarkDescriptor, InputSet, get_benchmark, run_kernel
 from .learn import DTModel, MLPModel, TrainConfig, classify, predict_logerr, train_classifier, train_regressor
 
 EPS_BOUND = 1e-6
@@ -95,7 +99,7 @@ class TuningProblem:
     classifier: DTModel
     log_target: float
     domain: DomainBox
-    edges: tuple
+    kernel: BenchmarkDescriptor
     cuts: frozenset = frozenset()
 
 
@@ -140,13 +144,14 @@ def build_problem(
         raise ValueError(f"width bounds [{nbit_min}, {nbit_max}] invalid")
     if not target_error > 0.0:
         raise ValueError(f"target error must be positive, got {target_error}")
-    n = get_benchmark(benchmark).n_var
+    kernel = get_benchmark(benchmark)
+    n = kernel.n_var
     return TuningProblem(
         regressor=regressor,
         classifier=classifier,
         log_target=log_error(target_error),
         domain=DomainBox((nbit_min,) * n, (nbit_max,) * n),
-        edges=dependency_graph(benchmark),
+        kernel=kernel,
         cuts=frozenset(tuple(int(v) for v in c) for c in cuts),
     )
 
@@ -203,105 +208,87 @@ class RunLedger:
 # --- dependency handling ------------------------------------------------------
 
 
-def cast_destinations(edges) -> set[int]:
-    """Dims whose width is a cast result."""
-    return {e.destination for e in edges if e.kind == CAST}
-
-
-def free_dims(edges, n_dims: int) -> list[int]:
-    """Dims whose width is chosen directly; cast results just follow."""
-    pinned = cast_destinations(edges)
-    return [d for d in range(n_dims) if d not in pinned]
-
-
-def propagate_box(box: DomainBox, edges) -> DomainBox | None:
-    """Tighten box bounds under the edge constraints to a fixpoint.
+def propagate_box(box: DomainBox, kernel: BenchmarkDescriptor) -> DomainBox | None:
+    """Tighten box bounds under the kernel's rules to a fixpoint.
     Returns None when no consistent config remains."""
     lo = list(box.lo)
     hi = list(box.hi)
     changed = True
     while changed:
         changed = False
-        for e in edges:
-            d = e.destination
-            if e.kind == CAST:
-                src_lo = min(lo[s] for s in e.sources)
-                src_hi = min(hi[s] for s in e.sources)
-                if src_hi < hi[d]:
-                    hi[d] = src_hi
+        for sources, d in kernel.casts:
+            src_lo = min(lo[s] for s in sources)
+            src_hi = min(hi[s] for s in sources)
+            if src_hi < hi[d]:
+                hi[d] = src_hi
+                changed = True
+            if src_lo > lo[d]:
+                lo[d] = src_lo
+                changed = True
+            for s in sources:
+                # the min of the sources must reach at least lo[d]
+                if lo[d] > lo[s]:
+                    lo[s] = lo[d]
                     changed = True
-                if src_lo > lo[d]:
-                    lo[d] = src_lo
-                    changed = True
-                for s in e.sources:
-                    # the min of the sources must reach at least lo[d]
-                    if lo[d] > lo[s]:
-                        lo[s] = lo[d]
-                        changed = True
-            else:
-                s = e.sources[0]
-                if hi[d] < hi[s]:
-                    hi[s] = hi[d]
-                    changed = True
-                if lo[s] > lo[d]:
-                    lo[d] = lo[s]
-                    changed = True
+        for s, d in kernel.assignments:
+            if hi[d] < hi[s]:
+                hi[s] = hi[d]
+                changed = True
+            if lo[s] > lo[d]:
+                lo[d] = lo[s]
+                changed = True
         for a, b in zip(lo, hi):
             if a > b:
                 return None
     return DomainBox(tuple(lo), tuple(hi))
 
 
-def settle_casts(config, edges) -> tuple[int, ...] | None:
+def settle_casts(config, kernel: BenchmarkDescriptor) -> tuple[int, ...] | None:
     """config with each cast result set to the min of its sources, or None
     when an assignment x_src <= x_dst then fails.  Kernels declare their
     casts in dependency order (kernels.BenchmarkDescriptor), so one pass in
     declaration order settles every cast."""
     cfg = list(config)
-    for e in edges:
-        if e.kind == CAST:
-            cfg[e.destination] = min(cfg[s] for s in e.sources)
-    for e in edges:
-        if e.kind != CAST and cfg[e.sources[0]] > cfg[e.destination]:
-            return None
+    for sources, d in kernel.casts:
+        cfg[d] = min(cfg[s] for s in sources)
+    if any(cfg[s] > cfg[d] for s, d in kernel.assignments):
+        return None
     return tuple(cfg)
 
 
-def dependency_consistent(config, edges) -> bool:
-    """config satisfies every edge: settling its casts changes nothing."""
-    return settle_casts(config, edges) == tuple(config)
+def dependency_consistent(config, kernel: BenchmarkDescriptor) -> bool:
+    """config satisfies every rule: settling its casts changes nothing."""
+    return settle_casts(config, kernel) == tuple(config)
 
 
-def _assignment_floor(cfg, slot: int, edges, cast_dests: set[int], nbit_min: int) -> int:
+def _assignment_floor(cfg, slot: int, kernel: BenchmarkDescriptor, nbit_min: int) -> int:
     """Lowest width worth probing for slot.  An assignment source pins the
-    slot from below, except when that source is itself a cast result (one
-    of cast_dests): settle_casts recomputes those, so lowering the slot can
-    pull the source down with it, and settle_casts's assignment check has
-    the final word."""
+    slot from below when the source is free.  A source that is a cast
+    result does not: settle_casts recomputes it, so lowering the slot can
+    pull it down too, and settle_casts's assignment check has the final
+    word."""
     floor = nbit_min
-    for e in edges:
-        if e.kind != CAST and e.destination == slot and e.sources[0] not in cast_dests:
-            floor = max(floor, cfg[e.sources[0]])
+    for s, d in kernel.assignments:
+        if d == slot and s in kernel.free:
+            floor = max(floor, cfg[s])
     return floor
 
 
-def _descend(start, edges, nbit_min: int, is_feasible) -> tuple[tuple[int, ...], int]:
+def _descend(start, kernel: BenchmarkDescriptor, nbit_min: int, is_feasible) -> tuple[tuple[int, ...], int]:
     """Slot-wise binary-search descent from a feasible config.
 
-    Lowers one directly chosen slot at a time (settle_casts recomputes the
-    cast results), keeping only settled configs that is_feasible approves.
+    Lowers one free slot at a time (settle_casts recomputes the cast
+    results), keeping only settled configs that is_feasible approves.
     Repeats passes until a whole pass changes nothing.  Returns (config,
     passes).  The total width never increases."""
     cur = tuple(int(v) for v in start)
-    free = free_dims(edges, len(cur))
-    cast_dests = cast_destinations(edges)
     passes = 0
     while True:
         passes += 1
         start_total = sum(cur)
-        order = sorted(free, key=lambda s: (-cur[s], s))
+        order = sorted(kernel.free, key=lambda s: (-cur[s], s))
         for slot in order:
-            floor = _assignment_floor(cur, slot, edges, cast_dests, nbit_min)
+            floor = _assignment_floor(cur, slot, kernel, nbit_min)
             if floor >= cur[slot]:
                 continue
             lo, hi = floor, cur[slot]
@@ -310,7 +297,7 @@ def _descend(start, edges, nbit_min: int, is_feasible) -> tuple[tuple[int, ...],
                 mid = (lo + hi) // 2
                 probe = list(cur)
                 probe[slot] = mid
-                settled = settle_casts(probe, edges)
+                settled = settle_casts(probe, kernel)
                 if settled is not None and min(settled) >= nbit_min and is_feasible(settled):
                     best = settled
                     hi = mid
@@ -335,12 +322,11 @@ class SearchStats:
 
 def solve_mp(problem: TuningProblem, stats: SearchStats | None = None) -> tuple[int, ...] | None:
     """Minimum-total-width config accepted by both models, or None."""
-    edges = problem.edges
+    kernel = problem.kernel
     reg = problem.regressor
     clf = problem.classifier
     log_target = problem.log_target
     domain = problem.domain
-    free = free_dims(edges, domain.n_dims)
     if stats is None:
         stats = SearchStats()
 
@@ -363,10 +349,10 @@ def solve_mp(problem: TuningProblem, stats: SearchStats | None = None) -> tuple[
         return best is not None and (sum(lo), lo) >= best
 
     # a cheap, usually near-optimal incumbent makes the cost prune bite
-    # from the start; the domain's uniform hi corner satisfies every edge
+    # from the start; the domain's uniform hi corner satisfies every rule
     if accepted([domain.hi])[0]:
         greedy, _ = _descend(
-            domain.hi, edges, min(domain.lo),
+            domain.hi, kernel, min(domain.lo),
             lambda cfg: domain.contains(cfg) and accepted([cfg])[0],
         )
         best = (sum(greedy), greedy)
@@ -382,7 +368,7 @@ def solve_mp(problem: TuningProblem, stats: SearchStats | None = None) -> tuple[
         boxes = []
         while heap and len(boxes) < FRONTIER and not beaten(heap[0][1]):
             _, lo, hi = heapq.heappop(heap)
-            box = propagate_box(DomainBox(lo, hi), edges)
+            box = propagate_box(DomainBox(lo, hi), kernel)
             if box is not None and not beaten(box.lo):
                 boxes.append(box)
         if not boxes:
@@ -404,7 +390,7 @@ def solve_mp(problem: TuningProblem, stats: SearchStats | None = None) -> tuple[
                 continue
             if box.is_singleton():
                 continue
-            open_dims = [dim for dim in free if box.lo[dim] < box.hi[dim]]
+            open_dims = [dim for dim in kernel.free if box.lo[dim] < box.hi[dim]]
             if any(slack[dim] > 0.0 for dim in open_dims):
                 # split where the regressor bound is loosest, so both halves
                 # tighten the most
@@ -417,7 +403,7 @@ def solve_mp(problem: TuningProblem, stats: SearchStats | None = None) -> tuple[
     if best is None:
         return None
     best_cfg = best[1]
-    assert dependency_consistent(best_cfg, edges)
+    assert dependency_consistent(best_cfg, kernel)
     assert problem.domain.contains(best_cfg)
     pred = predict_logerr(reg, np.array(best_cfg, dtype=np.float64))
     assert pred >= log_target and classify(clf, best_cfg) == 0 and best_cfg not in problem.cuts
@@ -544,7 +530,7 @@ def plus_refine(
     not hold is run once even when nothing was accepted.  The call's runs
     are the growth of ledger.runs."""
     cfg, passes = _descend(
-        config, dependency_graph(ledger.benchmark), nbit_min, lambda c: ledger.error(c) <= target_error
+        config, get_benchmark(ledger.benchmark), nbit_min, lambda c: ledger.error(c) <= target_error
     )
     ledger.error(cfg)
     return cfg, passes
@@ -559,7 +545,7 @@ def fptuning_baseline(
     """Model-free descent on ledger's input set: the all-nbit_max config is
     verified and, if it meets the target, walked down by plus_refine, the
     descent's passes counted as iterations."""
-    start = (nbit_max,) * get_benchmark(ledger.benchmark).n_var  # uniform widths always satisfy the edges
+    start = (nbit_max,) * get_benchmark(ledger.benchmark).n_var  # uniform widths always satisfy the rules
     known = ledger.runs
     config, passes, status = None, 0, "infeasible_at_max"
     error = ledger.error(start)
@@ -603,9 +589,8 @@ def brute_force_optimum(
     feasible one of min total width, ties to the lexicographically smallest
     config, or None."""
     benchmark = ledger.benchmark
-    edges = dependency_graph(benchmark)
-    n = get_benchmark(benchmark).n_var
-    free = free_dims(edges, n)
+    kernel = get_benchmark(benchmark)
+    free = kernel.free
     width = nbit_max - nbit_min + 1
     count = width ** len(free)
     if count > BRUTE_FORCE_CAP:
@@ -616,10 +601,10 @@ def brute_force_optimum(
     # every slot is free or a cast result, and a cast result is the min of
     # in-range widths, so every settled config lies in the width box
     for values in itertools.product(range(nbit_min, nbit_max + 1), repeat=len(free)):
-        placed = [nbit_min] * n
+        placed = [nbit_min] * kernel.n_var
         for d, v in zip(free, values):
             placed[d] = v
-        cfg = settle_casts(placed, edges)
+        cfg = settle_casts(placed, kernel)
         if cfg is None:
             continue
         if best is not None and (sum(cfg), cfg) >= (sum(best), best):

@@ -442,42 +442,77 @@ def pre_activations(model, points):
     return out
 
 
-# --- cast settling ------------------------------------------------------------------
-# The cast handling as first written: cast results recomputed in passes until
-# none moves, then every edge checked again.  Edge kinds are compared with the
-# strings kernels.CAST and kernels.ASSIGNMENT name.  The package settles in
-# one pass, which kernels' declaration order makes enough; on every config
-# both must agree.
+# --- slot rules ---------------------------------------------------------------------
+# The rule handling as first written, over a kernel's casts, (sources,
+# destination) pairs, and its assignments, (source, destination) pairs.  The
+# package settles casts in one pass, which kernels' declaration order makes
+# enough, and sweeps the casts before the assignments when it propagates a
+# box; on every config and box both must agree.
 
 
-def consistent_walk(config, edges) -> bool:
+def consistent_walk(config, casts, assignments) -> bool:
     """Every cast result equals the min of its sources, and no assignment
     source is wider than its destination."""
-    for e in edges:
-        if e.kind == "cast":
-            if config[e.destination] != min(config[s] for s in e.sources):
-                return False
-        elif config[e.sources[0]] > config[e.destination]:
+    for sources, dst in casts:
+        if config[dst] != min(config[s] for s in sources):
+            return False
+    for src, dst in assignments:
+        if config[src] > config[dst]:
             return False
     return True
 
 
-def settle_casts_fixpoint(config, edges):
+def settle_casts_fixpoint(config, casts, assignments):
     """config with its cast results recomputed until stable (at most
-    len(config) + 1 passes), or None when the result breaks an edge."""
+    len(config) + 1 passes), or None when the result breaks a rule."""
     cfg = list(config)
     for _ in range(len(cfg) + 1):
         changed = False
-        for e in edges:
-            if e.kind == "cast":
-                m = min(cfg[s] for s in e.sources)
-                if cfg[e.destination] != m:
-                    cfg[e.destination] = m
-                    changed = True
+        for sources, dst in casts:
+            m = min(cfg[s] for s in sources)
+            if cfg[dst] != m:
+                cfg[dst] = m
+                changed = True
         if not changed:
             break
     out = tuple(cfg)
-    return out if consistent_walk(out, edges) else None
+    return out if consistent_walk(out, casts, assignments) else None
+
+
+def propagate_box_fixpoint(lo, hi, casts, assignments):
+    """The (lo, hi) bounds of the box tightened under the rules, a rule at a
+    time, the assignments swept before the casts, until a sweep moves none;
+    None when no consistent config remains."""
+    lo = list(lo)
+    hi = list(hi)
+    changed = True
+    while changed:
+        changed = False
+        for src, dst in assignments:
+            if hi[dst] < hi[src]:
+                hi[src] = hi[dst]
+                changed = True
+            if lo[src] > lo[dst]:
+                lo[dst] = lo[src]
+                changed = True
+        for sources, dst in casts:
+            src_lo = min(lo[s] for s in sources)
+            src_hi = min(hi[s] for s in sources)
+            if src_hi < hi[dst]:
+                hi[dst] = src_hi
+                changed = True
+            if src_lo > lo[dst]:
+                lo[dst] = src_lo
+                changed = True
+            for s in sources:
+                # the min of the sources must reach at least lo[dst]
+                if lo[dst] > lo[s]:
+                    lo[s] = lo[dst]
+                    changed = True
+        for a, b in zip(lo, hi):
+            if a > b:
+                return None
+    return tuple(lo), tuple(hi)
 
 
 # --- one rounded binary op -------------------------------------------------------

@@ -26,7 +26,7 @@ from prectune.cli import main as cli_main, target_slug
 from prectune.dataset import compute_error, reference_output
 from prectune.embed import DomainBox, dt_label_boxes, nn_bound_info
 from prectune.flexnum import FlexFormat, round_to_format
-from prectune.kernels import dependency_graph, gen_input_set, run_kernel
+from prectune.kernels import gen_input_set, get_benchmark, run_kernel
 from prectune.learn import (
     TrainConfig,
     classify,
@@ -229,13 +229,13 @@ class TestC05RegressorTrend:
 class TestC06SolverExactness:
     def test_c06_objective_equals_enumeration(self, models_1k):
         reg, clf = models_1k("saxpy")
-        edges = dependency_graph("saxpy")
+        kernel = get_benchmark("saxpy")
         for target in (1e-3, 1e-5, 1e-10):
             problem = build_problem("saxpy", reg, clf, target, 4, 12)
             sol = solve_mp(problem)
             best = None
             for cfg in itertools.product(range(4, 13), repeat=3):
-                if not dependency_consistent(cfg, edges):
+                if not dependency_consistent(cfg, kernel):
                     continue
                 if classify(clf, cfg) != 0:
                     continue

@@ -216,6 +216,20 @@ class TestSettings:
         assert f"error: {key} " in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("source", ["flag", "file"])
+    @pytest.mark.parametrize("value", ["inf", "1e-3,inf", "nan"])
+    def test_non_finite_target_refused(self, tmp_path, capsys, source, value):
+        if source == "flag":
+            argv = ["--target", value]
+        else:
+            (tmp_path / "run.cfg").write_text(f"target = {value}\n")
+            argv = ["--config", str(tmp_path / "run.cfg")]
+        out = tmp_path / "out"
+        rc = run("tune", "--benchmark", "saxpy", "--mode", "baseline", "--shape", "n=64", *argv, "--out", str(out))
+        assert rc == EXIT_USAGE
+        assert "must be finite and positive" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_training_setting_bounds_accepted(self):
         cfg = config_of("--epochs", "1", "--batch-size", "1", "--max-depth", "0",
                         "--learning-rate", "1e-300")
@@ -295,6 +309,15 @@ class TestTuneCommand:
         doc = json.loads((tmp_path / "saxpy_baseline_0.1.json").read_text())
         assert doc["feasible"] is True
         assert doc["dataset_runs"] == 0
+
+    def test_dataset_refused_in_baseline_mode(self, tmp_path, capsys):
+        # baseline mode builds no models, so a dataset would go unread
+        out = tmp_path / "out"
+        rc = run("tune", "--benchmark", "saxpy", "--target", "1e-3", "--mode", "baseline",
+                 "--shape", "n=64", "--dataset", str(tmp_path / "none.csv"), "--out", str(out))
+        assert rc == EXIT_USAGE
+        assert "--dataset" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_exit_one_on_infeasible(self, tmp_path):
         # 1e-25 is out of reach with at most 10 bits; at 52 it is met exactly

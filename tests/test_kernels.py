@@ -1,23 +1,18 @@
-"""Kernel behavior: slot counts, dependency edges, full-precision fidelity,
+"""Kernel behavior: slot counts, slot rules, full-precision fidelity,
 input generation, validation errors, serialization."""
 
+import importlib.util
 import math
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from prectune import kernels as K
 from prectune import solve
-from prectune.kernels import (
-    ASSIGNMENT,
-    CAST,
-    ConfigError,
-    InputSet,
-    InvalidShapeError,
-    UnknownBenchmarkError,
-)
+from prectune.kernels import ConfigError, InputSet, InvalidShapeError, UnknownBenchmarkError
 
 from prectune.dataset import lhs_configs
 from prectune.flexnum import FormatBatch, round_to_format
@@ -48,6 +43,17 @@ SMALL_SHAPES = {
     "jacobi": {"side": 8, "iters": 4},
 }
 
+REFERENCE_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "reference.py"
+
+
+@pytest.fixture(scope="module")
+def reference():
+    """perfbench/reference.py, loaded unchanged."""
+    spec = importlib.util.spec_from_file_location("perfbench_reference", REFERENCE_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
 
 def full_config(name):
     return [52] * K.get_benchmark(name).n_var
@@ -67,37 +73,48 @@ class TestDescriptors:
     @pytest.mark.parametrize("name", ALL_BENCHMARKS)
     def test_edge_invariants(self, name):
         desc = K.get_benchmark(name)
-        for e in desc.edges:
-            assert 0 <= e.destination < desc.n_var
-            assert all(0 <= s < desc.n_var for s in e.sources)
-            if e.kind == ASSIGNMENT:
-                assert len(e.sources) == 1
-            else:
-                assert e.kind == CAST
-                assert len(e.sources) >= 2
+        for sources, dst in desc.casts:
+            assert 0 <= dst < desc.n_var
+            assert all(0 <= s < desc.n_var for s in sources)
+            assert len(sources) >= 2
             # a staged expression never feeds itself
-            assert e.destination not in e.sources
+            assert dst not in sources
+        for rule in desc.assignments:
+            assert len(rule) == 2
+            src, dst = rule
+            assert 0 <= src < desc.n_var and 0 <= dst < desc.n_var
+            assert src != dst
 
     @pytest.mark.parametrize("name", ALL_BENCHMARKS)
     def test_cast_destinations_unique(self, name):
         # each cast-constrained slot is pinned by exactly one equality
         desc = K.get_benchmark(name)
-        dests = [e.destination for e in desc.edges if e.kind == CAST]
+        dests = [dst for _, dst in desc.casts]
         assert len(dests) == len(set(dests))
 
     def test_descriptor_refuses_casts_out_of_order(self):
         # one pass of solve.settle_casts is enough only when no cast reads a
         # slot a later cast writes, and no slot is written by two casts
         names = ("a", "b", "c", "d", "e")
-        K.BenchmarkDescriptor("ordered", names, (K._cast((0, 1), 2), K._cast((2, 3), 4)))
-        with pytest.raises(ValueError, match="later cast"):
-            K.BenchmarkDescriptor("reversed", names, (K._cast((2, 3), 4), K._cast((0, 1), 2)))
-        with pytest.raises(ValueError, match="two casts"):
-            K.BenchmarkDescriptor("twice", names, (K._cast((0, 1), 2), K._cast((0, 3), 2)))
+        K.BenchmarkDescriptor("ordered", names, (((0, 1), 2), ((2, 3), 4)), ())
+        with pytest.raises(ValueError, match="reversed: .*later cast"):
+            K.BenchmarkDescriptor("reversed", names, (((2, 3), 4), ((0, 1), 2)), ())
+        with pytest.raises(ValueError, match="twice: .*two casts"):
+            K.BenchmarkDescriptor("twice", names, (((0, 1), 2), ((0, 3), 2)), ())
+        with pytest.raises(ValueError, match="self: .*its own result"):
+            K.BenchmarkDescriptor("self", names, (((0, 2), 2),), ())
+        for casts, assignments, slot in [
+            ((((0, 5), 2),), (), 5),
+            ((((0, 1), 5),), (), 5),
+            ((), ((0, 5),), 5),
+            ((), ((-1, 0),), -1),
+        ]:
+            with pytest.raises(ValueError, match=f"wide: slot {slot} out of range"):
+                K.BenchmarkDescriptor("wide", names, casts, assignments)
 
     def test_cast_destination_sets(self):
         def cast_destinations(name):
-            return {e.destination for e in K.get_benchmark(name).edges if e.kind == CAST}
+            return {dst for _, dst in K.get_benchmark(name).casts}
 
         assert cast_destinations("saxpy") == {2}
         assert cast_destinations("fwt") == {1}
@@ -106,6 +123,18 @@ class TestDescriptors:
         assert cast_destinations("correlation") == {2, 6}
         assert cast_destinations("bscholes") == {5, 7, 8, 9, 10, 13, 14}
         assert cast_destinations("jacobi") == set(range(5, 25))
+        for name in ALL_BENCHMARKS:
+            desc = K.get_benchmark(name)
+            assert desc.free == tuple(sorted(set(range(desc.n_var)) - cast_destinations(name)))
+
+    @pytest.mark.parametrize("name", ALL_BENCHMARKS)
+    def test_rules_match_the_benchmark_reference(self, name, reference):
+        # perfbench/reference.py transcribes the slot rules apart from the
+        # program, and the benchmark checks its results against them
+        desc = K.get_benchmark(name)
+        assert desc.n_var == reference.SLOTS[name]
+        assert set(desc.casts) == set(reference.CAST[name])
+        assert set(desc.assignments) == set(reference.ASSIGN[name])
 
     def test_unknown_benchmark(self):
         with pytest.raises(UnknownBenchmarkError):
@@ -114,12 +143,11 @@ class TestDescriptors:
             K.gen_input_set("fft")
 
     def test_edge_constructor_validation(self):
+        names = ("a", "b", "c")
         with pytest.raises(ValueError):
-            K.DependencyEdge("copy", (0,), 1)
-        with pytest.raises(ValueError):
-            K.DependencyEdge(ASSIGNMENT, (0, 1), 2)
-        with pytest.raises(ValueError):
-            K.DependencyEdge(CAST, (0,), 1)
+            K.BenchmarkDescriptor("pair", names, (), ((0, 1, 2),))
+        with pytest.raises(ValueError, match="single: .*fewer than two sources"):
+            K.BenchmarkDescriptor("single", names, (((0,), 1),), ())
 
 
 class TestInputGeneration:
@@ -504,7 +532,7 @@ class TestRoundedOracles:
                 assert K.run_kernel(name, inp, cfg).tobytes() == row.tobytes()
 
 
-# dependency-consistent configs with distinct widths where the edges allow
+# dependency-consistent configs with distinct widths where the rules allow
 CONSISTENT = {
     "correlation": [20, 24, 20, 30, 26, 28, 28],
     "jacobi": [22, 23, 19, 25, 23] + [22] * 4 + [22, 22, 22, 19, 19, 19]
@@ -538,7 +566,7 @@ class TestRoundingCalls:
         # one call per slot and point made 1,288 (correlation) and 1,105
         # (jacobi)
         cfg = CONSISTENT[name]
-        assert dependency_consistent(cfg, K.dependency_graph(name))
+        assert dependency_consistent(cfg, K.get_benchmark(name))
         assert self.calls(monkeypatch, name, K.gen_input_set(name, seed=0), cfg) <= most
 
     def test_batch_makes_no_more_calls(self, monkeypatch):
@@ -623,7 +651,7 @@ class TestStages:
         chain = self.chain(name)
         n = K.get_benchmark(name).n_var
         assert all(sum(a != b for a, b in zip(x, y)) == 1 for x, y in zip(chain[: 2 * n], chain[1 : 2 * n]))
-        assert not all(dependency_consistent(c, K.dependency_graph(name)) for c in chain)
+        assert not all(dependency_consistent(c, K.get_benchmark(name)) for c in chain)
         memo = {}
         with np.errstate(all="ignore"):
             for cfg in chain:

@@ -11,11 +11,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from oracles import consistent_walk, interval_ranges, settle_casts_fixpoint
+from oracles import consistent_walk, interval_ranges, propagate_box_fixpoint, settle_casts_fixpoint
 from prectune import solve
 from prectune.dataset import Dataset, Sample, build_dataset, compute_error, lhs_configs, log_error, reference_output
 from prectune.embed import DomainBox, dt_label_boxes, nn_bound_info
-from prectune.kernels import dependency_graph, gen_input_set, get_benchmark, run_kernel
+from prectune.kernels import gen_input_set, get_benchmark, run_kernel
 from prectune.learn import (
     DTModel,
     MLPModel,
@@ -33,7 +33,6 @@ from prectune.solve import (
     build_problem,
     dependency_consistent,
     fptuning_baseline,
-    free_dims,
     plus_refine,
     propagate_box,
     settle_casts,
@@ -80,7 +79,7 @@ def enumerate_accepted(problem):
     cfgs = [
         cfg
         for cfg in itertools.product(*(range(a, b + 1) for a, b in zip(lo, hi)))
-        if cfg not in problem.cuts and dependency_consistent(cfg, problem.edges)
+        if cfg not in problem.cuts and dependency_consistent(cfg, problem.kernel)
     ]
     preds = predict_logerr(reg, np.array(cfgs, dtype=float))
     return [
@@ -99,71 +98,71 @@ def enumeration_optimum(problem):
 
 class TestDependencyHelpers:
     def test_consistency_saxpy(self):
-        edges = dependency_graph("saxpy")
-        assert dependency_consistent((5, 5, 5), edges)
-        assert dependency_consistent((3, 8, 3), edges)
-        assert not dependency_consistent((5, 5, 4), edges)
-        assert not dependency_consistent((3, 8, 8), edges)
+        kernel = get_benchmark("saxpy")
+        assert dependency_consistent((5, 5, 5), kernel)
+        assert dependency_consistent((3, 8, 3), kernel)
+        assert not dependency_consistent((5, 5, 4), kernel)
+        assert not dependency_consistent((3, 8, 8), kernel)
 
     def test_consistency_assignment(self):
-        edges = dependency_graph("dwt")
-        assert dependency_consistent((5,) * 7, edges)
-        assert dependency_consistent((5, 6, 7, 8, 9, 10, 11), edges)
+        kernel = get_benchmark("dwt")
+        assert dependency_consistent((5,) * 7, kernel)
+        assert dependency_consistent((5, 6, 7, 8, 9, 10, 11), kernel)
         # slot 1 copies slot 0, so it may not be narrower
-        assert not dependency_consistent((5, 4, 5, 5, 5, 5, 5), edges)
+        assert not dependency_consistent((5, 4, 5, 5, 5, 5, 5), kernel)
 
     def test_free_dims(self):
-        assert free_dims(dependency_graph("saxpy"), 3) == [0, 1]
-        assert free_dims(dependency_graph("fwt"), 2) == [0]
-        assert free_dims(dependency_graph("dwt"), 7) == list(range(7))
-        assert free_dims(dependency_graph("correlation"), 7) == [0, 1, 3, 4, 5]
-        assert free_dims(dependency_graph("bscholes"), 15) == [0, 1, 2, 3, 4, 6, 11, 12]
+        assert get_benchmark("saxpy").free == (0, 1)
+        assert get_benchmark("fwt").free == (0,)
+        assert get_benchmark("dwt").free == tuple(range(7))
+        assert get_benchmark("correlation").free == (0, 1, 3, 4, 5)
+        assert get_benchmark("bscholes").free == (0, 1, 2, 3, 4, 6, 11, 12)
 
     def test_propagate_noop_on_full_box(self):
-        edges = dependency_graph("saxpy")
+        kernel = get_benchmark("saxpy")
         box = DomainBox((1, 1, 1), (52, 52, 52))
-        assert propagate_box(box, edges) == box
+        assert propagate_box(box, kernel) == box
 
     def test_propagate_raises_sources(self):
-        edges = dependency_graph("saxpy")
+        kernel = get_benchmark("saxpy")
         box = DomainBox((1, 1, 5), (52, 52, 52))
-        assert propagate_box(box, edges) == DomainBox((5, 5, 5), (52, 52, 52))
+        assert propagate_box(box, kernel) == DomainBox((5, 5, 5), (52, 52, 52))
 
     def test_propagate_empty(self):
-        edges = dependency_graph("saxpy")
+        kernel = get_benchmark("saxpy")
         # cast result is forced to at most 5 but its floor is 9
-        assert propagate_box(DomainBox((1, 1, 9), (52, 5, 52)), edges) is None
-        assert propagate_box(DomainBox((1, 1, 7), (6, 52, 52)), edges) is None
+        assert propagate_box(DomainBox((1, 1, 9), (52, 5, 52)), kernel) is None
+        assert propagate_box(DomainBox((1, 1, 7), (6, 52, 52)), kernel) is None
 
     def test_propagate_keeps_every_consistent_config(self):
         rng = np.random.default_rng(3)
-        edges = dependency_graph("correlation")
+        kernel = get_benchmark("correlation")
         for _ in range(50):
             a = rng.integers(1, 13, 7)
             b = rng.integers(1, 13, 7)
             box = DomainBox(tuple(np.minimum(a, b).tolist()), tuple(np.maximum(a, b).tolist()))
-            tight = propagate_box(box, edges)
+            tight = propagate_box(box, kernel)
             for cfg in itertools.product(*(range(l, h + 1) for l, h in zip(box.lo, box.hi))):
-                if dependency_consistent(cfg, edges):
+                if dependency_consistent(cfg, kernel):
                     assert tight is not None and tight.contains(cfg)
 
     @pytest.mark.parametrize("bench", ["saxpy", "fwt", "dwt", "correlation", "convolution", "bscholes", "jacobi"])
     def test_propagated_lo_is_consistent(self, bench):
         # the search takes a propagated box's lo corner as its cheapest
-        # config, which needs the corner itself to satisfy every edge
+        # config, which needs the corner itself to satisfy every rule
         rng = np.random.default_rng(4)
-        edges = dependency_graph(bench)
-        n = get_benchmark(bench).n_var
+        kernel = get_benchmark(bench)
+        n = kernel.n_var
         checked = 0
         for i in range(300):
             a = rng.integers(1, 53, n)
             # every other box open to the top: wide cast chains empty
             # almost every fully random box
             b = rng.integers(1, 53, n) if i % 2 else np.full(n, 52)
-            tight = propagate_box(DomainBox(tuple(np.minimum(a, b).tolist()), tuple(np.maximum(a, b).tolist())), edges)
+            tight = propagate_box(DomainBox(tuple(np.minimum(a, b).tolist()), tuple(np.maximum(a, b).tolist())), kernel)
             if tight is None:
                 continue
-            assert dependency_consistent(tight.lo, edges)
+            assert dependency_consistent(tight.lo, kernel)
             checked += 1
         assert checked > 0
 
@@ -172,20 +171,50 @@ class TestDependencyHelpers:
         # one pass in declaration order against passes until stable, on
         # random configs and on their settled forms, which are consistent
         rng = np.random.default_rng(5)
-        edges = dependency_graph(bench)
-        n = get_benchmark(bench).n_var
+        kernel = get_benchmark(bench)
+        n = kernel.n_var
         configs = []
         for _ in range(400):
             lo, hi = sorted(rng.integers(1, 53, 2).tolist())
             configs.append(tuple(rng.integers(lo, hi + 1, n).tolist()))
-        settled = [c for c in (settle_casts_fixpoint(c, edges) for c in configs) if c is not None]
+        rules = (kernel.casts, kernel.assignments)
+        settled = [c for c in (settle_casts_fixpoint(c, *rules) for c in configs) if c is not None]
         assert settled
         for cfg in configs + settled:
             probe = list(cfg)
-            assert settle_casts(probe, edges) == settle_casts_fixpoint(cfg, edges)
+            assert settle_casts(probe, kernel) == settle_casts_fixpoint(cfg, *rules)
             assert probe == list(cfg)
-            assert dependency_consistent(cfg, edges) == consistent_walk(cfg, edges)
-        assert all(dependency_consistent(c, edges) for c in settled)
+            assert dependency_consistent(cfg, kernel) == consistent_walk(cfg, *rules)
+        assert all(dependency_consistent(c, kernel) for c in settled)
+
+    @pytest.mark.parametrize("bench", ["saxpy", "fwt", "dwt", "correlation", "convolution", "bscholes", "jacobi"])
+    def test_propagate_box_matches_fixpoint_reference(self, bench):
+        # casts then assignments against the reference's other sweep order,
+        # on random wide boxes and on narrow boxes around settled configs
+        rng = np.random.default_rng(6)
+        kernel = get_benchmark(bench)
+        rules = (kernel.casts, kernel.assignments)
+        n = kernel.n_var
+        nonempty = 0
+        for i in range(400):
+            if i % 2:
+                a, b = rng.integers(1, 53, n), rng.integers(1, 53, n)
+                lo, hi = np.minimum(a, b), np.maximum(a, b)
+            else:
+                center = None
+                while center is None:
+                    center = settle_casts(rng.integers(1, 53, n).tolist(), kernel)
+                lo = np.clip(np.array(center) - rng.integers(0, 4, n), 1, 52)
+                hi = np.clip(np.array(center) + rng.integers(0, 4, n), 1, 52)
+            lo, hi = tuple(lo.tolist()), tuple(hi.tolist())
+            tight = propagate_box(DomainBox(lo, hi), kernel)
+            want = propagate_box_fixpoint(lo, hi, *rules)
+            if want is None:
+                assert tight is None
+            else:
+                assert (tight.lo, tight.hi) == want
+                nonempty += 1
+        assert nonempty >= 200
 
 
 class TestNNUpperBound:
@@ -307,7 +336,7 @@ class TestSolveMP:
         prob = build_problem("saxpy", reg, clf, 1e-5, nbit_min=2, nbit_max=20)
         sol = solve_mp(prob)
         assert sol is not None
-        assert dependency_consistent(sol, prob.edges)
+        assert dependency_consistent(sol, prob.kernel)
         assert prob.domain.contains(sol)
         assert predict_logerr(reg, np.array(sol, dtype=np.float64)) >= prob.log_target
         assert classify(clf, sol) == 0
@@ -388,7 +417,7 @@ class TestSmartTune:
         assert res.feasible
         assert res.config is not None
         assert res.actual_error <= 1e-3
-        assert dependency_consistent(res.config, dependency_graph("saxpy"))
+        assert dependency_consistent(res.config, get_benchmark("saxpy"))
         assert res.refinement_iterations >= 1
         assert res.kernel_runs >= res.refinement_iterations
         # verification against the real kernel, not the model's guess
@@ -554,7 +583,7 @@ class TestPlusRefine:
         cfg, passes = plus_refine(ledger, start, target)
         assert sum(cfg) <= sum(start)
         assert ledger.runs > 0 and passes >= 1
-        assert dependency_consistent(cfg, dependency_graph("saxpy"))
+        assert dependency_consistent(cfg, get_benchmark("saxpy"))
         assert compute_error(run_kernel("saxpy", saxpy_input, cfg), ref) == ledger.errors[cfg] <= target
 
     def test_actually_improves_from_max(self, saxpy_input):
@@ -811,10 +840,10 @@ class TestBruteForce:
         target = 1e-3
         lo, hi = 4, 9
         ref = reference_output("saxpy", saxpy_input)
-        edges = dependency_graph("saxpy")
+        kernel = get_benchmark("saxpy")
         feasible = []
         for cfg in itertools.product(range(lo, hi + 1), repeat=3):
-            if not dependency_consistent(cfg, edges):
+            if not dependency_consistent(cfg, kernel):
                 continue
             err = compute_error(run_kernel("saxpy", saxpy_input, cfg), ref)
             if err <= target:
