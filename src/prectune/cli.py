@@ -71,9 +71,9 @@ class RunConfig:
     dataset_size: int = field(default=1000, metadata={"min": 1})
     budget: int = field(default=100, metadata={"min": 0})
     mode: str = field(default="smart_plus", metadata={"choices": MODES})
-    seed_input: int = 0
-    seed_sample: int = 0
-    seed_train: int = 0
+    seed_input: int = field(default=0, metadata={"min": 0})
+    seed_sample: int = field(default=0, metadata={"min": 0})
+    seed_train: int = field(default=0, metadata={"min": 0})
     epochs: int = field(default=TrainConfig.epochs, metadata={"min": 1})
     batch_size: int = field(default=TrainConfig.batch_size, metadata={"min": 1})
     learning_rate: float = TrainConfig.learning_rate
@@ -363,25 +363,16 @@ def cmd_train(args) -> int:
 
 
 def _run_method(cfg: RunConfig, ledger: RunLedger, target, dataset, models):
-    """One tuner call on ledger's input set, and its wall time in seconds."""
+    """One tuner call on ledger's input set: its result, the kernel runs it
+    added to ledger and its wall time in seconds."""
+    runs = ledger.runs
     t0 = time.perf_counter()
     if cfg.mode == "baseline":
         result = fptuning_baseline(ledger, target, cfg.nbit_min, cfg.nbit_max)
     else:
         runner = smart_tune if cfg.mode == "smart" else smart_tune_plus
-        result = runner(
-            ledger,
-            target,
-            budget=cfg.budget,
-            nbit_min=cfg.nbit_min,
-            nbit_max=cfg.nbit_max,
-            dataset=dataset,
-            dataset_size=cfg.dataset_size,
-            seed_sample=cfg.seed_sample,
-            train_cfg=cfg.train_config(),
-            models=models,
-        )
-    return result, time.perf_counter() - t0
+        result = runner(ledger, target, dataset, models, cfg.train_config(), cfg.budget)
+    return result, ledger.runs - runs, time.perf_counter() - t0
 
 
 def cmd_tune(args) -> int:
@@ -414,7 +405,7 @@ def cmd_tune(args) -> int:
     rows = []
     all_feasible = True
     for target in cfg.targets:
-        result, wall_time = _run_method(cfg, ledger, target, dataset, models)
+        result, kernel_runs, wall_time = _run_method(cfg, ledger, target, dataset, models)
         config, pre = result.config, result.pre_refine
         bits = sum(config) if config is not None else None
         feasible = result.feasible
@@ -427,7 +418,7 @@ def cmd_tune(args) -> int:
                 repr(result.actual_error),
                 "true" if feasible else "false",
                 result.refinement_iterations,
-                result.kernel_runs,
+                kernel_runs,
             ]
         )
         write_json(
@@ -445,7 +436,7 @@ def cmd_tune(args) -> int:
                 "samples_added": result.samples_added,
                 "adam_steps": result.adam_steps,
                 "search_boxes": result.search_boxes,
-                "kernel_runs": result.kernel_runs,
+                "kernel_runs": kernel_runs,
                 "pre_refine_total_bits": sum(pre) if pre is not None else None,
                 "pre_refine_error": ledger.errors[pre] if pre is not None else None,
                 "dataset_runs": dataset_runs,
@@ -471,8 +462,8 @@ def cmd_sweep(args) -> int:
     benches = benchmarks_of(cfg)
     outdir = ensure_outdir(cfg)
     sizes = parse_int_list(args.sizes, "sizes") if args.sizes else (100, 500, 1000, 2000)
-    if list(sizes) != sorted(sizes):
-        raise UsageError(f"sizes {sizes} must be ascending")
+    if any(a >= b for a, b in zip(sizes, sizes[1:])):
+        raise UsageError(f"sizes {sizes} must be strictly ascending")
     if sizes[0] < 1:
         raise UsageError("sizes must be positive")
     hold_n = args.holdout
@@ -526,8 +517,8 @@ def cmd_transfer(args) -> int:
             return 100.0 * misses / len(others)
 
         for target in cfg.targets:
-            smart, _ = _run_method(smart_cfg, first, target, dataset, models)
-            base, _ = _run_method(base_cfg, first, target, None, None)
+            smart, *_ = _run_method(smart_cfg, first, target, dataset, models)
+            base, *_ = _run_method(base_cfg, first, target, None, None)
             pct_smart = violation_pct(smart, target)
             pct_base = violation_pct(base, target)
             rows.append(
@@ -704,7 +695,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("sweep", help="dataset-size sweep with a fixed held-out set")
     add_common_flags(p)
-    p.add_argument("--sizes", help="comma list of training sizes, ascending")
+    p.add_argument("--sizes", help="comma list of training sizes, strictly ascending")
     p.add_argument("--holdout", type=int, default=500, help="held-out sample count")
     p.set_defaults(func=cmd_sweep)
 

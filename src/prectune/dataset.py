@@ -68,9 +68,6 @@ class Dataset:
     def configs(self) -> np.ndarray:
         return np.array([s.config for s in self.samples], dtype=np.int64)
 
-    def log_errs(self) -> np.ndarray:
-        return np.array([s.log_err for s in self.samples])
-
     def class_labels(self) -> np.ndarray:
         return np.array([s.class_label for s in self.samples], dtype=np.int64)
 

@@ -44,10 +44,6 @@ class DomainBox:
             if a > b:
                 raise ValueError(f"empty box: lo {self.lo} hi {self.hi}")
 
-    @property
-    def n_dims(self) -> int:
-        return len(self.lo)
-
     def is_singleton(self) -> bool:
         return self.lo == self.hi
 

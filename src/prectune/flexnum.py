@@ -129,9 +129,6 @@ class FlexFormat:
         return float(np.ldexp(2.0 - np.ldexp(1.0, -self.mantissa_bits), self.emax))
 
 
-BINARY64 = FlexFormat(52, 11)
-
-
 @dataclass(frozen=True, eq=False)
 class FormatBatch:
     """One format per entry of an array's leading axes: with widths of

@@ -32,13 +32,14 @@ into it.  It sweeps the casts and then the assignments until a sweep
 moves no bound; each rule only narrows the box, so neither the fixpoint
 nor whether the box comes out empty depends on that order.
 
-smart_tune wraps the solver in a verify-retrain loop: each proposed config
-is actually run; a miss becomes a new training sample and an excluded
-config before the next round.  Then the classifier is refit from scratch,
-and the regressor retrained from its previous weights for a tenth of the
-epochs (learn.train_regressor's start model).  One local function builds
-each of its records from the run ledger and the misses: samples_added
-counts the misses, kernel_runs the runs the call added to the ledger.
+smart_tune wraps the solver in a verify-retrain loop over a dataset and
+the models fitted on it, both the caller's, and searches the dataset's
+width box: each proposed config is actually run; a miss becomes a new
+training sample and an excluded config before the next round.  Then the
+classifier is refit from scratch, and the regressor retrained from its
+previous weights for a tenth of the epochs (learn.train_regressor's start
+model).  One local function builds each of its records from the run ledger
+and the misses: samples_added counts the misses.
 
 A run ledger (RunLedger) holds one input set, its reference output and
 the error of every config run on it.  Every kernel run the program makes
@@ -49,9 +50,10 @@ run again; the new ones are run once each, in batches, entered and counted
 in its runs.  A ledger is seeded with the reference run itself (the
 all-MANTISSA_MAX config).  The tune, transfer and oracle commands give one
 ledger to all their calls on an input set, so that no config runs twice on
-it in a whole command, not even one the dataset drew; each record's
-kernel_runs counts the runs its own call added.  Searches and tuners
-answer with plain width tuples; the error of each is read off the ledger.
+it in a whole command, not even one the dataset drew.  The ledger is the
+one counter of runs: a call's kernel runs are the growth of its runs over
+the call.  Searches and tuners answer with plain width tuples; the error
+of each is read off the ledger.
 A ledger also holds the kernel stage results of its last runs
 (kernels.run_kernel's memo): a new config that agrees with the run that
 computed a stage on the widths the stage reads reuses it; a batch's stage
@@ -76,10 +78,11 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
+# build_dataset has no caller here; perfbench/spans.py wraps solve.build_dataset by name
 from .dataset import Dataset, build_dataset, compute_error, compute_errors, error_sample, log_error, reference_output
 from .embed import DomainBox, dt_label_boxes, nn_bound_info, split_weights
 from .flexnum import MANTISSA_MAX, MANTISSA_MIN
@@ -111,12 +114,7 @@ class TunedResult:
     actual_error: float
     refinement_iterations: int
     samples_added: int
-    kernel_runs: int
     status: str
-    # the run ledger the call read and extended: the error of every config
-    # run on its input set, by this call or by any other call given the same
-    # ledger, so that no config is run twice
-    ledger: RunLedger = field(repr=False)
     # set by smart_tune_plus and by a max_descent result: the config the
     # descent started from, its error ledger.errors[pre_refine]
     pre_refine: tuple[int, ...] | None = None
@@ -424,42 +422,32 @@ def fit_models(
 def smart_tune(
     ledger: RunLedger,
     target_error: float,
-    budget: int = 30,
-    nbit_min: int = MANTISSA_MIN,
-    nbit_max: int = MANTISSA_MAX,
-    dataset: Dataset | None = None,
-    dataset_size: int = 1000,
-    seed_sample: int = 0,
+    dataset: Dataset,
+    models: tuple[MLPModel, DTModel],
     train_cfg: TrainConfig = TrainConfig(),
-    models: tuple[MLPModel, DTModel] | None = None,
+    budget: int = 30,
 ) -> TunedResult:
     """Propose-verify-retrain on ledger's input set until a config really
     meets the target.
 
-    When the first models promise no config at all, the result is
-    fptuning_baseline's, relabelled: a descent from the all-nbit_max config
-    (status "max_descent", pre_refine that config) when it passes, and
-    "model_infeasible" with that one run's error when it misses.
+    models is the pair fit_models(dataset, train_cfg) returns, so that
+    several targets on one dataset share one initial fit, and the search
+    box is the dataset's, [dataset.nbit_lo, dataset.nbit_hi].  dataset is
+    left untouched; misses extend a private copy.
 
-    kernel_runs counts the runs this call adds to the ledger, those of the
-    dataset it builds when none is passed in among them, adam_steps the Adam
-    updates of its retrains after misses (not of the initial fit; a miss in
-    the last budget round makes no retrain), and search_boxes the boxes its
-    searches bounded.  A passed-in dataset is left untouched; misses
-    extend a private copy.  models, when given, is
-    the pair fit_models(dataset, train_cfg) returns, so that several
-    targets on one dataset share one initial fit."""
-    if models is not None and dataset is None:
-        raise ValueError("initial models need the dataset they were fitted on")
+    When the first models promise no config at all, the result is
+    fptuning_baseline's, relabelled: a descent from the all-dataset.nbit_hi
+    config (status "max_descent", pre_refine that config) when it passes,
+    and "model_infeasible" with that one run's error when it misses.
+
+    adam_steps counts the Adam updates of the retrains after misses (not of
+    the initial fit; a miss in the last budget round makes no retrain), and
+    search_boxes the boxes the searches bounded.  The call's kernel runs
+    are the growth of ledger.runs."""
     benchmark = ledger.benchmark
-    known = ledger.runs
-    if dataset is None:
-        dataset = build_dataset(
-            ledger, n_samples=dataset_size, nbit_lo=nbit_min, nbit_hi=nbit_max, seed_sample=seed_sample
-        )
-    else:
-        dataset = replace(dataset, samples=list(dataset.samples))
-    regressor, classifier = models if models is not None else fit_models(dataset, train_cfg)
+    nbit_min, nbit_max = dataset.nbit_lo, dataset.nbit_hi
+    dataset = replace(dataset, samples=list(dataset.samples))
+    regressor, classifier = models
 
     cuts: set[tuple[int, ...]] = set()
     stats = SearchStats()
@@ -472,9 +460,7 @@ def smart_tune(
             actual_error=ledger.errors[last] if last is not None else float("inf"),
             refinement_iterations=rounds,
             samples_added=len(cuts),
-            kernel_runs=ledger.runs - known,
             status=status,
-            ledger=ledger,
             adam_steps=adam_steps,
             search_boxes=stats.boxes,
         )
@@ -490,9 +476,8 @@ def smart_tune(
             return replace(
                 base,
                 refinement_iterations=iteration,
-                kernel_runs=ledger.runs - known,
                 status="max_descent" if base.feasible else "model_infeasible",
-                pre_refine=(nbit_max,) * problem.domain.n_dims if base.feasible else None,
+                pre_refine=problem.domain.hi if base.feasible else None,
                 search_boxes=stats.boxes,
             )
         if sol is None:
@@ -546,7 +531,6 @@ def fptuning_baseline(
     verified and, if it meets the target, walked down by plus_refine, the
     descent's passes counted as iterations."""
     start = (nbit_max,) * get_benchmark(ledger.benchmark).n_var  # uniform widths always satisfy the rules
-    known = ledger.runs
     config, passes, status = None, 0, "infeasible_at_max"
     error = ledger.error(start)
     if error <= target_error:
@@ -557,23 +541,26 @@ def fptuning_baseline(
         actual_error=error,
         refinement_iterations=passes,
         samples_added=0,
-        kernel_runs=ledger.runs - known,
         status=status,
-        ledger=ledger,
     )
 
 
-def smart_tune_plus(ledger: RunLedger, target_error: float, **kwargs) -> TunedResult:
-    """smart_tune followed by plus_refine on its result; the keyword
-    arguments are smart_tune's."""
-    result = smart_tune(ledger, target_error, **kwargs)
+def smart_tune_plus(
+    ledger: RunLedger,
+    target_error: float,
+    dataset: Dataset,
+    models: tuple[MLPModel, DTModel],
+    train_cfg: TrainConfig = TrainConfig(),
+    budget: int = 30,
+) -> TunedResult:
+    """smart_tune followed by plus_refine on its result, down to
+    dataset.nbit_lo."""
+    result = smart_tune(ledger, target_error, dataset, models, train_cfg, budget)
     # a max_descent result has been through the same descent already
     if result.status != "feasible":
         return result
-    known = ledger.runs
-    config, _ = plus_refine(ledger, result.config, target_error, kwargs.get("nbit_min", MANTISSA_MIN))
-    return replace(result, config=config, actual_error=ledger.errors[config], pre_refine=result.config,
-                   kernel_runs=result.kernel_runs + ledger.runs - known)
+    config, _ = plus_refine(ledger, result.config, target_error, dataset.nbit_lo)
+    return replace(result, config=config, actual_error=ledger.errors[config], pre_refine=result.config)
 
 
 # --- ground truth for small problems ----------------------------------------------

@@ -23,7 +23,7 @@ import pytest
 from builds import fresh_dataset
 from oracles import flex_op, grid_positive
 from prectune.cli import main as cli_main, target_slug
-from prectune.dataset import compute_error, reference_output
+from prectune.dataset import build_dataset, compute_error, reference_output
 from prectune.embed import DomainBox, dt_label_boxes, nn_bound_info
 from prectune.flexnum import FlexFormat, round_to_format
 from prectune.kernels import gen_input_set, get_benchmark, run_kernel
@@ -39,6 +39,7 @@ from prectune.solve import (
     brute_force_optimum,
     build_problem,
     dependency_consistent,
+    fit_models,
     fptuning_baseline,
     smart_tune_plus,
     solve_mp,
@@ -299,7 +300,9 @@ class TestC09NearOptimality:
         inp = gen_input_set("saxpy", None, 0)
         brute = brute_force_optimum(RunLedger(inp), target, 4, 20)
         assert brute is not None
-        smart = smart_tune_plus(RunLedger(inp), target, budget=100, nbit_min=4, nbit_max=20)
+        ledger = RunLedger(inp)
+        ds = build_dataset(ledger, 1000, 4, 20, 0)
+        smart = smart_tune_plus(ledger, target, ds, fit_models(ds, TrainConfig()), budget=100)
         assert smart.feasible, smart.status
         base = fptuning_baseline(RunLedger(inp), target, 4, 20)
         assert base.feasible, base.status

@@ -217,6 +217,19 @@ class TestSettings:
         assert not out.exists()
 
     @pytest.mark.parametrize("source", ["flag", "file"])
+    @pytest.mark.parametrize("key", ["seed_input", "seed_sample", "seed_train"])
+    def test_negative_seed_refused_before_any_run(self, tmp_path, capsys, runs_by_input, source, key):
+        if source == "flag":
+            argv = ["--" + key.replace("_", "-"), "-1"]
+        else:
+            (tmp_path / "run.cfg").write_text(f"{key} = -1\n")
+            argv = ["--config", str(tmp_path / "run.cfg")]
+        out = tmp_path / "out"
+        assert run("tune", "--benchmark", "saxpy", "--shape", "n=64", *argv, "--out", str(out)) == EXIT_USAGE
+        assert f"error: {key} -1 must be >= 0" in capsys.readouterr().err
+        assert runs_by_input == [] and not out.exists()
+
+    @pytest.mark.parametrize("source", ["flag", "file"])
     @pytest.mark.parametrize("value", ["inf", "1e-3,inf", "nan"])
     def test_non_finite_target_refused(self, tmp_path, capsys, source, value):
         if source == "flag":
@@ -612,6 +625,13 @@ class TestSweepCommand:
         rc = run("sweep", "--benchmark", "saxpy", "--sizes", "60,30",
                  "--shape", "n=64", "--out", str(tmp_path))
         assert rc == EXIT_USAGE
+
+    def test_sizes_must_not_repeat(self, tmp_path, capsys):
+        rc = run("sweep", "--benchmark", "saxpy", "--sizes", "50,50",
+                 "--shape", "n=64", "--out", str(tmp_path))
+        assert rc == EXIT_USAGE
+        assert "must be strictly ascending" in capsys.readouterr().err
+        assert not (tmp_path / "sweep_rmse.csv").exists()
 
 
 class TestTransferCommand:

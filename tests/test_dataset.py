@@ -291,7 +291,7 @@ class TestBuildDataset:
 
     def test_column_accessors(self):
         ds = fresh_dataset("saxpy", n_samples=12, shape={"n": 16})
-        assert ds.log_errs().shape == (12,)
+        assert np.array([s.log_err for s in ds.samples]).shape == (12,)
         assert ds.class_labels().shape == (12,)
         assert set(np.unique(ds.class_labels())) <= {0, 1}
 

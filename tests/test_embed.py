@@ -51,7 +51,7 @@ class TestDomainBox:
 
     def test_helpers(self):
         box = DomainBox((1, 4), (3, 4))
-        assert box.n_dims == 2
+        assert len(box.lo) == 2
         assert not box.is_singleton()
         assert box.contains((2, 4))
         assert not box.contains((2, 5))
@@ -132,7 +132,7 @@ class TestBatchedBounds:
         rng = np.random.default_rng(11)
         boxes = self.mixed_boxes(rng, reg.weights[0].shape[0])
         bounds, slacks = nn_bound_info(reg, [b.lo for b in boxes], [b.hi for b in boxes])
-        assert bounds.shape == (len(boxes),) and slacks.shape == (len(boxes), boxes[0].n_dims)
+        assert bounds.shape == (len(boxes),) and slacks.shape == (len(boxes), len(boxes[0].lo))
         for box, bound, slack in zip(boxes, bounds, slacks):
             one, one_slack = nn_bound_info(reg, [box.lo], [box.hi])
             assert abs(bound - one[0]) <= 1e-12

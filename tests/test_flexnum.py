@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from oracles import flex_op, round_by_grid_search, round_nearest_even
 from prectune.flexnum import (
-    BINARY64,
     FlexFormat,
     FormatBatch,
     _round_frexp,
@@ -64,7 +63,7 @@ class TestFormatValidation:
         f = FlexFormat(2, 3)
         assert f.emax == 3 and f.emin == -2
         assert f.max_value == 14.0
-        assert BINARY64.emin == -1022
+        assert FlexFormat(52, 11).emin == -1022
 
 
 class TestKnownValues:
@@ -116,7 +115,7 @@ class TestBinary64Identity:
                 np.array([5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308]),
             ]
         )
-        out = round_to_format(vals, BINARY64)
+        out = round_to_format(vals, FlexFormat(52, 11))
         assert out.tobytes() == vals.tobytes()
 
     def test_native_ops_bit_identical(self):
@@ -129,7 +128,7 @@ class TestBinary64Identity:
             ("mul", a * b),
             ("div", a / b),
         ]:
-            got = flex_op(kind, a, b, BINARY64)
+            got = flex_op(kind, a, b, FlexFormat(52, 11))
             assert got.tobytes() == ref.tobytes(), kind
 
 

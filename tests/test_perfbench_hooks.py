@@ -44,13 +44,15 @@ def test_traced_tune_records_every_solve_layer():
     spans = load_spans()
     inp = gen_input_set("saxpy", {"n": 64}, seed=0)
     ds = build_dataset(solve.RunLedger(inp), n_samples=60, seed_sample=0)
+    train_cfg = TrainConfig(epochs=5)
     tracer = spans.Tracer()
     with tracer.installed():
-        result = solve.smart_tune(solve.RunLedger(inp), 1e-3, budget=3, dataset=ds, train_cfg=TrainConfig(epochs=5))
+        ledger = solve.RunLedger(inp)
+        solve.smart_tune(ledger, 1e-3, ds, solve.fit_models(ds, train_cfg), train_cfg, budget=3)
     names = {s[spans.NAME] for s in tracer.spans}
     assert {"solve.tune", "solve.search", "learn.regressor_fit", "learn.classifier_fit", "kernels.run"} <= names
-    # every verify run, plus the reference run kernel_runs leaves out
-    assert result.kernel_runs + 1 == sum(1 for s in tracer.spans if s[spans.NAME] == "kernels.run")
+    # every verify run, plus the reference run ledger.runs leaves out
+    assert ledger.runs + 1 == sum(1 for s in tracer.spans if s[spans.NAME] == "kernels.run")
 
 
 def test_traced_retrains_record_one_fit_span_each():
@@ -59,9 +61,11 @@ def test_traced_retrains_record_one_fit_span_each():
     spans = load_spans()
     inp = gen_input_set("saxpy", {"n": 64}, seed=0)
     ds = build_dataset(solve.RunLedger(inp), n_samples=60, seed_sample=0)
+    train_cfg = TrainConfig(epochs=5)
     tracer = spans.Tracer()
     with tracer.installed():
-        result = solve.smart_tune(solve.RunLedger(inp), 1e-3, budget=3, dataset=ds, train_cfg=TrainConfig(epochs=5))
+        models = solve.fit_models(ds, train_cfg)
+        result = solve.smart_tune(solve.RunLedger(inp), 1e-3, ds, models, train_cfg, budget=3)
     assert result.samples_added >= 1
     fits = sum(1 for s in tracer.spans if s[spans.NAME] == "learn.regressor_fit")
     # the initial fit, then one per miss, except a miss that used up the

@@ -6,14 +6,13 @@ ground truth for the kernel-level searches is brute force over small boxes.
 """
 
 import itertools
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from oracles import consistent_walk, interval_ranges, propagate_box_fixpoint, settle_casts_fixpoint
 from prectune import solve
-from prectune.dataset import Dataset, Sample, build_dataset, compute_error, lhs_configs, log_error, reference_output
+from prectune.dataset import Dataset, Sample, build_dataset, compute_error, log_error, reference_output
 from prectune.embed import DomainBox, dt_label_boxes, nn_bound_info
 from prectune.kernels import gen_input_set, get_benchmark, run_kernel
 from prectune.learn import (
@@ -58,6 +57,17 @@ def saxpy_dataset(saxpy_input):
 def saxpy_models(saxpy_dataset):
     cfg = TrainConfig(seed=0)
     return train_regressor(saxpy_dataset, cfg), train_classifier(saxpy_dataset, cfg)
+
+
+@pytest.fixture(scope="module")
+def saxpy_dataset_4_20(saxpy_input):
+    return build_dataset(RunLedger(saxpy_input), n_samples=250, nbit_lo=4, nbit_hi=20, seed_sample=0)
+
+
+def fitted(dataset, train_cfg=TrainConfig()):
+    """dataset and the pair fit_models fits on it: a smart tuner's dataset
+    and models arguments."""
+    return dataset, solve.fit_models(dataset, train_cfg)
 
 
 def flat_dataset(log_err: float, lo: int = 4, hi: int = 6) -> Dataset:
@@ -412,14 +422,15 @@ class TestBestFirstSearch:
 
 class TestSmartTune:
     def test_feasible_on_saxpy(self, saxpy_input, saxpy_dataset):
-        res = smart_tune(RunLedger(saxpy_input), 1e-3, budget=15, dataset=saxpy_dataset)
+        ledger = RunLedger(saxpy_input)
+        res = smart_tune(ledger, 1e-3, *fitted(saxpy_dataset), budget=15)
         assert res.status == "feasible"
         assert res.feasible
         assert res.config is not None
         assert res.actual_error <= 1e-3
         assert dependency_consistent(res.config, get_benchmark("saxpy"))
         assert res.refinement_iterations >= 1
-        assert res.kernel_runs >= res.refinement_iterations
+        assert ledger.runs >= res.refinement_iterations
         # verification against the real kernel, not the model's guess
         out = run_kernel("saxpy", saxpy_input, res.config)
         ref = reference_output("saxpy", saxpy_input)
@@ -428,66 +439,71 @@ class TestSmartTune:
     def test_does_not_mutate_dataset(self, saxpy_input):
         ds = flat_dataset(35.0)
         n_before = len(ds.samples)
-        smart_tune(RunLedger(saxpy_input), 1e-30, budget=2, nbit_min=4, nbit_max=6, dataset=ds)
+        smart_tune(RunLedger(saxpy_input), 1e-30, *fitted(ds), budget=2)
         assert len(ds.samples) == n_before
 
     def test_budget_zero(self, saxpy_input, saxpy_dataset):
-        res = smart_tune(RunLedger(saxpy_input), 1e-3, budget=0, dataset=saxpy_dataset)
+        ledger = RunLedger(saxpy_input)
+        res = smart_tune(ledger, 1e-3, *fitted(saxpy_dataset), budget=0)
         assert res.status == "budget_exhausted"
         assert not res.feasible
         assert res.config is None
         assert res.refinement_iterations == 0
         assert res.samples_added == 0
-        assert res.kernel_runs == 0
+        assert ledger.runs == 0
         assert res.adam_steps == 0
 
     def test_model_infeasible(self, saxpy_input):
         # the models see only mediocre errors, the target demands far more;
         # the all-max config is verified before giving up, and misses too
         ds = flat_dataset(2.0)
-        res = smart_tune(RunLedger(saxpy_input), 1e-10, budget=5, nbit_min=4, nbit_max=6, dataset=ds)
+        ledger = RunLedger(saxpy_input)
+        res = smart_tune(ledger, 1e-10, *fitted(ds), budget=5)
         assert res.status == "model_infeasible"
         assert not res.feasible
         assert res.config is None
         assert res.actual_error > 1e-10
         assert res.refinement_iterations == 1
-        assert res.kernel_runs == 1
+        assert ledger.runs == 1
         assert res.pre_refine is None
 
     def test_model_infeasible_but_max_passes(self, saxpy_input):
         # the models promise nothing at round 1, yet the all-max config meets
         # the target: the result is the baseline's descent from it
         ds = flat_dataset(2.0)
-        res = smart_tune(RunLedger(saxpy_input), 1e-3, budget=5, nbit_min=4, nbit_max=6, dataset=ds)
-        base = fptuning_baseline(RunLedger(saxpy_input), 1e-3, nbit_min=4, nbit_max=6)
+        ledger, base_ledger = RunLedger(saxpy_input), RunLedger(saxpy_input)
+        res = smart_tune(ledger, 1e-3, *fitted(ds), budget=5)
+        base = fptuning_baseline(base_ledger, 1e-3, nbit_min=4, nbit_max=6)
         assert res.status == "max_descent"
         assert res.feasible and res.actual_error <= 1e-3
         assert res.config == base.config
-        assert res.kernel_runs == base.kernel_runs
+        assert ledger.runs == base_ledger.runs
         assert res.refinement_iterations == 1
         assert res.samples_added == 0
         # the descent started from the all-max run
         max_err = compute_error(run_kernel("saxpy", saxpy_input, (6, 6, 6)),
                                 reference_output("saxpy", saxpy_input))
         assert res.pre_refine == (6, 6, 6)
-        assert res.ledger.errors[res.pre_refine] == max_err
+        assert ledger.errors[res.pre_refine] == max_err
         assert base.pre_refine is None
         # smart_tune_plus does not walk the same descent a second time
-        plus = smart_tune_plus(RunLedger(saxpy_input), 1e-3, budget=5, nbit_min=4, nbit_max=6, dataset=ds)
-        assert plus.config == res.config and plus.kernel_runs == res.kernel_runs
+        plus_ledger = RunLedger(saxpy_input)
+        plus = smart_tune_plus(plus_ledger, 1e-3, *fitted(ds), budget=5)
+        assert plus.config == res.config and plus_ledger.runs == ledger.runs
         assert plus.status == "max_descent"
-        assert plus.pre_refine == (6, 6, 6) and plus.ledger.errors[plus.pre_refine] == max_err
+        assert plus.pre_refine == (6, 6, 6) and plus_ledger.errors[plus.pre_refine] == max_err
 
     def test_budget_exhausted_records_miss(self, saxpy_input):
         # the models promise 1e-35 everywhere; reality disagrees
         ds = flat_dataset(35.0)
-        res = smart_tune(RunLedger(saxpy_input), 1e-30, budget=1, nbit_min=4, nbit_max=6, dataset=ds)
+        ledger = RunLedger(saxpy_input)
+        res = smart_tune(ledger, 1e-30, *fitted(ds), budget=1)
         assert res.status == "budget_exhausted"
         assert not res.feasible
         assert res.config == (4, 4, 4)
         assert res.actual_error > 1e-30
         assert res.samples_added == 1
-        assert res.kernel_runs == 1
+        assert ledger.runs == 1
         # the miss used up the budget, so no search would use a retrain
         assert res.adam_steps == 0
 
@@ -502,7 +518,7 @@ class TestSmartTune:
             return train_regressor(dataset, cfg, start)
 
         monkeypatch.setattr(solve, "train_regressor", counted)
-        res = smart_tune(RunLedger(saxpy_input), 1e-30, budget=budget, nbit_min=4, nbit_max=6, dataset=ds)
+        res = smart_tune(RunLedger(saxpy_input), 1e-30, *fitted(ds), budget=budget)
         assert res.status == "budget_exhausted"
         assert res.samples_added == budget
         # the initial fit, then one warm retrain per miss but the last
@@ -517,35 +533,33 @@ class TestSmartTune:
             return nn_bound_info(model, lo, hi, *args)
 
         monkeypatch.setattr(solve, "nn_bound_info", counted)
-        res = smart_tune(RunLedger(saxpy_input), 1e-4, budget=10, dataset=saxpy_dataset)
+        res = smart_tune(RunLedger(saxpy_input), 1e-4, *fitted(saxpy_dataset), budget=10)
         assert res.search_boxes == sum(rows) > 0
 
     def test_deterministic(self, saxpy_input, saxpy_dataset):
-        a = smart_tune(RunLedger(saxpy_input), 1e-4, budget=10, dataset=saxpy_dataset)
-        b = smart_tune(RunLedger(saxpy_input), 1e-4, budget=10, dataset=saxpy_dataset)
+        ledger_a, ledger_b = RunLedger(saxpy_input), RunLedger(saxpy_input)
+        a = smart_tune(ledger_a, 1e-4, *fitted(saxpy_dataset), budget=10)
+        b = smart_tune(ledger_b, 1e-4, *fitted(saxpy_dataset), budget=10)
         assert a.config == b.config
         assert a.actual_error == b.actual_error
         assert a.refinement_iterations == b.refinement_iterations
         assert a.samples_added == b.samples_added
-        assert a.kernel_runs == b.kernel_runs
+        assert ledger_a.runs == ledger_b.runs
 
-    def test_initial_models_need_their_dataset(self, saxpy_input, saxpy_models):
-        with pytest.raises(ValueError):
-            smart_tune(RunLedger(saxpy_input), 1e-4, dataset_size=20, models=saxpy_models)
+    def test_search_box_is_the_datasets(self, monkeypatch, saxpy_input, saxpy_dataset_4_20):
+        # the models know nothing outside the box their data was drawn over:
+        # every search, and the descent after them, stays inside it
+        domains = []
 
-    # 1e-300 is met only at 52 bits: the first models promise nothing, and
-    # the result is the round-1 descent from the all-max config
-    @pytest.mark.parametrize("target,status", [(1e-3, "feasible"), (1e-300, "max_descent")])
-    def test_own_dataset_runs_through_the_ledger(self, saxpy_input, target, status):
-        ledger = RunLedger(saxpy_input)
-        ledger.error((10, 10, 10))
-        before = ledger.runs
-        res = smart_tune(ledger, target, budget=15, dataset_size=100, seed_sample=1)
-        assert res.status == status
-        assert res.kernel_runs == ledger.runs - before
-        drawn = {tuple(c) for c in lhs_configs(100, 3, 1, 52, 1).tolist()}
-        assert drawn <= ledger.errors.keys()
-        assert res.kernel_runs >= len(drawn - {(10, 10, 10), (52, 52, 52)})
+        def search(problem, stats=None):
+            domains.append(problem.domain)
+            return solve_mp(problem, stats)
+
+        monkeypatch.setattr(solve, "solve_mp", search)
+        res = smart_tune_plus(RunLedger(saxpy_input), 1e-4, *fitted(saxpy_dataset_4_20), budget=15)
+        assert domains and set(domains) == {DomainBox((4,) * 3, (20,) * 3)}
+        assert res.feasible and res.pre_refine is not None
+        assert 4 <= min(res.config) and max(res.config) <= 20
 
 
 class TestModelInfeasibleAtRoundOne:
@@ -565,9 +579,9 @@ class TestModelInfeasibleAtRoundOne:
 
     def test_smart_tune_finds_a_config(self, fwt_input):
         ds = build_dataset(RunLedger(fwt_input), n_samples=1000, seed_sample=0)
-        res = smart_tune(RunLedger(fwt_input), self.TARGET, budget=100, dataset=ds,
-                         train_cfg=TrainConfig(seed=0))
-        assert res.kernel_runs > 0
+        ledger, train_cfg = RunLedger(fwt_input), TrainConfig(seed=0)
+        res = smart_tune(ledger, self.TARGET, *fitted(ds, train_cfg), train_cfg, budget=100)
+        assert ledger.runs > 0
         assert res.feasible and res.actual_error <= self.TARGET
         assert res.status == "max_descent"
         assert res.pre_refine == (52, 52)
@@ -608,35 +622,38 @@ class TestPlusRefine:
 
 class TestBaseline:
     def test_feasible_descent(self, saxpy_input):
-        res = fptuning_baseline(RunLedger(saxpy_input), 1e-4)
+        ledger = RunLedger(saxpy_input)
+        res = fptuning_baseline(ledger, 1e-4)
         assert res.status == "feasible"
         assert res.feasible
         assert res.config is not None
         assert res.actual_error <= 1e-4
         assert sum(res.config) < 156
-        assert res.kernel_runs >= 3
+        assert ledger.runs >= 3
         assert res.samples_added == 0
 
     def test_infeasible_at_max(self, saxpy_input):
-        res = fptuning_baseline(RunLedger(saxpy_input), 1e-20, nbit_max=8)
+        ledger = RunLedger(saxpy_input)
+        res = fptuning_baseline(ledger, 1e-20, nbit_max=8)
         assert res.status == "infeasible_at_max"
         assert not res.feasible
         assert res.config is None
-        assert res.kernel_runs == 1
+        assert ledger.runs == 1
 
 
 class TestSmartTunePlus:
     def test_refines_smart_tune(self, saxpy_input, saxpy_dataset):
-        base = smart_tune(RunLedger(saxpy_input), 1e-4, budget=15, dataset=saxpy_dataset)
-        plus = smart_tune_plus(RunLedger(saxpy_input), 1e-4, budget=15, dataset=saxpy_dataset)
+        base_ledger, plus_ledger = RunLedger(saxpy_input), RunLedger(saxpy_input)
+        base = smart_tune(base_ledger, 1e-4, *fitted(saxpy_dataset), budget=15)
+        plus = smart_tune_plus(plus_ledger, 1e-4, *fitted(saxpy_dataset), budget=15)
         assert plus.feasible
         assert sum(plus.config) <= sum(base.config)
         assert plus.actual_error <= 1e-4
-        assert plus.kernel_runs >= base.kernel_runs
+        assert plus_ledger.runs >= base_ledger.runs
 
     def test_passes_through_failure(self, saxpy_input):
         ds = flat_dataset(2.0)
-        res = smart_tune_plus(RunLedger(saxpy_input), 1e-10, budget=3, nbit_min=4, nbit_max=6, dataset=ds)
+        res = smart_tune_plus(RunLedger(saxpy_input), 1e-10, *fitted(ds), budget=3)
         assert res.status == "model_infeasible"
         assert res.config is None
 
@@ -693,8 +710,8 @@ class TestRunLedger:
 
 
 class TestHonestRunCounts:
-    """A call runs no config twice, and its kernel_runs is the number of runs
-    it made.  The reference runs go through the dataset module, so wrapping
+    """A call runs no config twice, and the growth of its ledger's runs is
+    the number of runs it made.  The reference runs go through the dataset module, so wrapping
     solve.run_kernel sees every other run."""
 
     DWT_SHAPE = {"n": 64}
@@ -719,21 +736,22 @@ class TestHonestRunCounts:
         return build_dataset(RunLedger(dwt_input), n_samples=250, seed_sample=0)
 
     @staticmethod
-    def assert_honest(made, kernel_runs):
+    def assert_honest(made, runs):
         assert made and len(set(made)) == len(made)
-        assert kernel_runs == len(made)
+        assert runs == len(made)
 
     @pytest.mark.parametrize("name,target", [("saxpy", 1e-4), ("dwt", 1e-5)])
     def test_baseline(self, made, saxpy_input, dwt_input, name, target):
         inp = saxpy_input if name == "saxpy" else dwt_input
-        res = fptuning_baseline(RunLedger(inp), target)
+        ledger = RunLedger(inp)
+        res = fptuning_baseline(ledger, target)
         assert res.feasible
-        self.assert_honest(made, res.kernel_runs)
+        self.assert_honest(made, ledger.runs)
         # the all-52 start is the reference run the ledger was seeded with
         all_max = (52,) * get_benchmark(name).n_var
         assert all_max not in made
-        assert res.ledger.errors.keys() == set(made) | {all_max}
-        assert res.actual_error == res.ledger.errors[res.config]
+        assert ledger.errors.keys() == set(made) | {all_max}
+        assert res.actual_error == ledger.errors[res.config]
 
     @pytest.mark.parametrize("name", ["saxpy", "dwt"])
     def test_plus_refine(self, made, saxpy_input, dwt_input, name):
@@ -767,44 +785,46 @@ class TestHonestRunCounts:
         for name, inp, ds, target in (("saxpy", saxpy_input, saxpy_dataset, 1e-4),
                                       ("dwt", dwt_input, dwt_dataset, 1e-5)):
             made.clear()
-            res = smart_tune_plus(RunLedger(inp), target, budget=15, dataset=ds)
+            ledger = RunLedger(inp)
+            res = smart_tune_plus(ledger, target, *fitted(ds), budget=15)
             assert res.status == "feasible"
-            self.assert_honest(made, res.kernel_runs)
-            assert res.actual_error == res.ledger.errors[res.config] <= target
+            self.assert_honest(made, ledger.runs)
+            assert res.actual_error == ledger.errors[res.config] <= target
 
     def test_smart_tune_plus_max_descent(self, made, saxpy_input, dwt_input, dwt_dataset):
         # the models promise nothing: flat mediocre errors on saxpy, a
         # target no dataset config comes near on dwt
-        for name, inp, ds, target, box in (
-            ("saxpy", saxpy_input, flat_dataset(2.0), 1e-3, {"nbit_min": 4, "nbit_max": 6}),
-            ("dwt", dwt_input, dwt_dataset, 1e-300, {}),
+        for name, inp, ds, target in (
+            ("saxpy", saxpy_input, flat_dataset(2.0), 1e-3),
+            ("dwt", dwt_input, dwt_dataset, 1e-300),
         ):
             made.clear()
-            res = smart_tune_plus(RunLedger(inp), target, budget=5, dataset=ds, **box)
+            ledger = RunLedger(inp)
+            res = smart_tune_plus(ledger, target, *fitted(ds), budget=5)
             assert res.status == "max_descent"
-            self.assert_honest(made, res.kernel_runs)
-            assert res.actual_error == res.ledger.errors[res.config] <= target
+            self.assert_honest(made, ledger.runs)
+            assert res.actual_error == ledger.errors[res.config] <= target
 
 
-    BOX = {"nbit_min": 4, "nbit_max": 6}
-
-    # (status, tuner, target, keyword arguments, misses when the case fixes them)
+    # (status, tuner, target, keyword arguments, misses when the case fixes
+    # them); a smart tuner's dataset is drawn over the box it searches and
+    # comes with the models fitted on it
     @pytest.mark.parametrize("status,tune,target,kwargs,fixed_misses", [
         pytest.param("feasible", smart_tune, 1e-4, {"budget": 15, "dataset": "saxpy_dataset"}, None,
                      id="feasible"),
         pytest.param("feasible", smart_tune_plus, 1e-4, {"budget": 15, "dataset": "saxpy_dataset"}, None,
                      id="plus-feasible"),
         pytest.param("feasible", fptuning_baseline, 1e-4, {}, 0, id="baseline-feasible"),
-        pytest.param("max_descent", smart_tune, 1e-3, {"budget": 5, "dataset": flat_dataset(2.0), **BOX}, 0,
+        pytest.param("max_descent", smart_tune, 1e-3, {"budget": 5, "dataset": flat_dataset(2.0)}, 0,
                      id="max_descent"),
-        pytest.param("budget_exhausted", smart_tune, 1e-30, {"budget": 1, "dataset": flat_dataset(35.0), **BOX}, 1,
+        pytest.param("budget_exhausted", smart_tune, 1e-30, {"budget": 1, "dataset": flat_dataset(35.0)}, 1,
                      id="budget_exhausted"),
         pytest.param("infeasible_at_max", fptuning_baseline, 1e-20, {"nbit_max": 8}, 0, id="infeasible_at_max"),
-        pytest.param("model_infeasible", smart_tune, 1e-10, {"budget": 5, "dataset": flat_dataset(2.0), **BOX}, 0,
+        pytest.param("model_infeasible", smart_tune, 1e-10, {"budget": 5, "dataset": flat_dataset(2.0)}, 0,
                      id="model_infeasible-round1"),
         # the one config of the box misses, and round 2 has nothing left
         pytest.param("model_infeasible", smart_tune, 1e-30,
-                     {"budget": 5, "dataset": flat_dataset(35.0), "nbit_min": 4, "nbit_max": 4}, 1,
+                     {"budget": 5, "dataset": flat_dataset(35.0, 4, 4)}, 1,
                      id="model_infeasible-after-miss"),
     ])
     def test_result_invariants(self, request, monkeypatch, made, saxpy_input, status, tune, target, kwargs,
@@ -816,12 +836,15 @@ class TestHonestRunCounts:
             return proposed[-1]
 
         monkeypatch.setattr(solve, "solve_mp", search)
-        if isinstance(kwargs.get("dataset"), str):
-            kwargs = {**kwargs, "dataset": request.getfixturevalue(kwargs["dataset"])}
-        res = tune(RunLedger(saxpy_input), target, **kwargs)
+        kwargs = dict(kwargs)
+        ds = kwargs.pop("dataset", None)
+        if isinstance(ds, str):
+            ds = request.getfixturevalue(ds)
+        ledger = RunLedger(saxpy_input)
+        res = tune(ledger, target, *(fitted(ds) if ds is not None else ()), **kwargs)
         assert res.status == status
         assert res.feasible == (res.actual_error <= target)
-        self.assert_honest(made, res.kernel_runs)
+        self.assert_honest(made, ledger.runs)
         ref = reference_output("saxpy", saxpy_input)
 
         def error(cfg):
@@ -832,7 +855,7 @@ class TestHonestRunCounts:
         assert res.samples_added == misses
         assert fixed_misses is None or misses == fixed_misses
         if res.config is not None:
-            assert res.actual_error == res.ledger.errors[res.config] == error(res.config)
+            assert res.actual_error == ledger.errors[res.config] == error(res.config)
 
 
 class TestBruteForce:
@@ -861,13 +884,10 @@ class TestBruteForce:
             brute_force_optimum(RunLedger(gen_input_set("dwt", {"n": 64})), 1e-3)
         assert 52 ** 2 < BRUTE_FORCE_CAP
 
-    def test_not_beaten_by_searches(self, saxpy_input, saxpy_dataset):
+    def test_not_beaten_by_searches(self, saxpy_input, saxpy_dataset_4_20):
         opt = brute_force_optimum(RunLedger(saxpy_input), 1e-3, nbit_min=4, nbit_max=20)
         assert opt is not None
-        tuned = smart_tune_plus(
-            RunLedger(saxpy_input), 1e-3, budget=20, nbit_min=4, nbit_max=20,
-            dataset=replace(saxpy_dataset, samples=list(saxpy_dataset.samples)),
-        )
+        tuned = smart_tune_plus(RunLedger(saxpy_input), 1e-3, *fitted(saxpy_dataset_4_20), budget=20)
         base = fptuning_baseline(RunLedger(saxpy_input), 1e-3, nbit_min=4, nbit_max=20)
         assert tuned.feasible
         assert sum(tuned.config) >= sum(opt)
